@@ -60,7 +60,6 @@ from .weblab import (
     restriction_homogeneous,
     tangency_with_line,
     web_degree,
-    web_k,
 )
 
 __version__ = "0.1.0"
@@ -114,6 +113,5 @@ __all__ = [
     "web_char_integrals",
     "web_class",
     "web_degree",
-    "web_k",
     "zero",
 ]

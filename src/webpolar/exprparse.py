@@ -10,11 +10,30 @@ Grammar (ASCII, explicit '*', '^' for powers, no implicit multiplication):
 Ring expressions use the variables h and c (c standing in for the dual
 hyperplane class, which has no keyboard spelling); web polynomials use
 x, y and p.  Every printed canonical form re-parses to the same value.
+
+Inputs come from the command line, so the parser bounds what it accepts
+(each check costs O(1) per token) and raises ParseError beyond:
+
+    MAX_SOURCE_LENGTH   characters of input
+    MAX_LITERAL_DIGITS  digits of one integer literal, below CPython's
+                        default 4300-digit limit on int/str conversion
+    MAX_NESTING_DEPTH   parentheses open at once; the parser recurses once
+                        per level, so this keeps it far from the
+                        interpreter's recursion limit
+    MAX_EXPONENT        value of an exponent after '^'
+
+Long sums and products nest only to the left, and ``evaluate`` walks that
+spine in a loop, so their length is bounded by MAX_SOURCE_LENGTH alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+MAX_SOURCE_LENGTH = 100_000
+MAX_LITERAL_DIGITS = 4000
+MAX_NESTING_DEPTH = 100
+MAX_EXPONENT = 1000
 
 
 class ParseError(ValueError):
@@ -80,6 +99,8 @@ class _Token:
 
 
 def _tokenize(source: str) -> list[_Token]:
+    if len(source) > MAX_SOURCE_LENGTH:
+        raise ParseError(f"input longer than {MAX_SOURCE_LENGTH} characters", 1, 1)
     tokens = []
     line, column = 1, 1
     i = 0
@@ -99,6 +120,10 @@ def _tokenize(source: str) -> list[_Token]:
             while i < len(source) and source[i].isdigit():
                 i += 1
             text = source[start:i]
+            if len(text) > MAX_LITERAL_DIGITS:
+                raise ParseError(
+                    f"integer literal longer than {MAX_LITERAL_DIGITS} digits", line, column
+                )
             tokens.append(_Token("int", text, line, column))
             column += len(text)
             continue
@@ -125,6 +150,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.allowed = allowed
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -166,8 +192,11 @@ class _Parser:
                 if token.kind == "op" and token.text == "-":
                     self.fail("exponent must be a nonnegative integer", token)
                 self.fail("expected an integer exponent after '^'", token)
+            exponent = int(token.text)
+            if exponent > MAX_EXPONENT:
+                self.fail(f"exponent larger than {MAX_EXPONENT}", token)
             self.advance()
-            node = Pow(node, int(token.text))
+            node = Pow(node, exponent)
         return node
 
     def base(self):
@@ -182,8 +211,12 @@ class _Parser:
                 self.fail(f"unknown variable {token.text!r} (expected one of: {expected})", token)
             return Var(token.text)
         if token.kind == "op" and token.text == "(":
+            if self.depth == MAX_NESTING_DEPTH:
+                self.fail(f"parentheses nested deeper than {MAX_NESTING_DEPTH}", token)
             self.advance()
+            self.depth += 1
             node = self.expr()
+            self.depth -= 1
             closing = self.peek()
             if closing.kind != "op" or closing.text != ")":
                 self.fail("expected ')'", closing)
@@ -205,18 +238,29 @@ def parse_expr(source: str, allowed: frozenset[str] | set[str]):
 def evaluate(node, env: dict, const):
     """Fold an AST in any commutative ring given variable values and an
     integer embedding."""
+    if isinstance(node, (Add, Sub, Mul)):
+        # sums and products nest to the left: fold the spine in a loop, so
+        # that long inputs do not recurse once per term
+        spine = []
+        while isinstance(node, (Add, Sub, Mul)):
+            spine.append(node)
+            node = node.left
+        value = evaluate(node, env, const)
+        for op in reversed(spine):
+            right = evaluate(op.right, env, const)
+            if isinstance(op, Add):
+                value = value + right
+            elif isinstance(op, Sub):
+                value = value - right
+            else:
+                value = value * right
+        return value
     if isinstance(node, Lit):
         return const(node.value)
     if isinstance(node, Var):
         return env[node.name]
     if isinstance(node, Neg):
         return -evaluate(node.operand, env, const)
-    if isinstance(node, Add):
-        return evaluate(node.left, env, const) + evaluate(node.right, env, const)
-    if isinstance(node, Sub):
-        return evaluate(node.left, env, const) - evaluate(node.right, env, const)
-    if isinstance(node, Mul):
-        return evaluate(node.left, env, const) * evaluate(node.right, env, const)
     if isinstance(node, Pow):
         return evaluate(node.base, env, const) ** node.exponent
     raise TypeError(f"not an expression node: {node!r}")

@@ -6,6 +6,8 @@ t, u are reserved for homogenizing restrictions to a projective line.
 Coefficients are arbitrary-precision integers and nothing here ever touches
 floating point; resultants come from the Sylvester matrix evaluated by
 fraction-free Bareiss elimination, so all intermediate divisions are exact.
+Exact division takes the leading monomials of the remainder from a heap,
+at O(log T) per step for T remainder terms.
 
 >>> x, y, p = variables("x", "y", "p")
 >>> print(resultant(p**2 - x, p - y, "p"))
@@ -16,6 +18,7 @@ True
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 VARIABLES = ("x", "y", "p", "t", "u")
@@ -284,23 +287,38 @@ class MultiPoly:
         return exps, self._terms[exps]
 
     def try_exact_div(self, divisor: "MultiPoly") -> "MultiPoly | None":
-        """Quotient self / divisor over the integers, or None if not exact."""
+        """Quotient self / divisor over the integers, or None if not exact.
+
+        Leading monomials of the remainder come off a max-heap of negated
+        exponent tuples; a monomial that cancelled after it was pushed is
+        skipped when popped (lazy deletion).  Every step only touches
+        monomials below the one it eliminates, so the steps, and the point
+        where an inexact division gives up, are those of taking the largest
+        remaining monomial each time.
+        """
         if divisor.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
         remainder = dict(self._terms)
+        heap = [(-e[0], -e[1], -e[2], -e[3], -e[4]) for e in remainder]
+        heapify(heap)
         quotient: dict[Exponents, int] = {}
         div_lm, div_lc = divisor.leading_term()
-        while remainder:
-            lm = max(remainder)
-            lc = remainder[lm]
-            delta = tuple(a - b for a, b in zip(lm, div_lm))
-            if any(e < 0 for e in delta):
+        d0, d1, d2, d3, d4 = div_lm
+        tail = [(e, c) for e, c in divisor._terms.items() if e != div_lm]
+        while heap:
+            n0, n1, n2, n3, n4 = heappop(heap)
+            lm = (-n0, -n1, -n2, -n3, -n4)
+            lc = remainder.pop(lm, 0)
+            if not lc:
+                continue
+            delta = (-n0 - d0, -n1 - d1, -n2 - d2, -n3 - d3, -n4 - d4)
+            if min(delta) < 0:
                 return None
             q, r = divmod(lc, div_lc)
             if r:
                 return None
             quotient[delta] = q
-            for exps, coeff in divisor._terms.items():
+            for exps, coeff in tail:
                 key = (
                     delta[0] + exps[0],
                     delta[1] + exps[1],
@@ -308,11 +326,14 @@ class MultiPoly:
                     delta[3] + exps[3],
                     delta[4] + exps[4],
                 )
-                updated = remainder.get(key, 0) - q * coeff
-                if updated:
-                    remainder[key] = updated
+                previous = remainder.get(key)
+                if previous is None:
+                    remainder[key] = -q * coeff
+                    heappush(heap, (-key[0], -key[1], -key[2], -key[3], -key[4]))
+                elif previous == q * coeff:
+                    del remainder[key]
                 else:
-                    remainder.pop(key, None)
+                    remainder[key] = previous - q * coeff
         result = MultiPoly()
         result._terms = quotient
         return result

@@ -23,6 +23,13 @@ from .classes import (
 from .ring import hyperplane, integrate
 
 
+def _check_consistent(value: int, expected: int, *context) -> None:
+    # an explicit raise, unlike assert, is kept under python -O; the message
+    # is formatted only on failure, as these checks run on every call
+    if value != expected:
+        raise RuntimeError(f"internal consistency check failed: {value} != {expected} {context}")
+
+
 def polar_degree_variety(c: CharNumbers, j: int) -> int:
     """Degree of the j-th polar class: a_(n-q+j) + a_(n-q+j-1).
 
@@ -35,7 +42,7 @@ def polar_degree_variety(c: CharNumbers, j: int) -> int:
     recomputed = integrate(
         variety_class(c) * pencil_class(c.q - j + 2, c.n) * hyperplane(c.n) ** (c.q - j)
     )
-    assert value == recomputed, (value, recomputed, c, j)
+    _check_consistent(value, recomputed, "polar degree vs ring integral", c, j)
     return value
 
 
@@ -52,7 +59,7 @@ def polar_degree_web(w: WebCharNumbers, s: int) -> int:
     recomputed = integrate(
         web_class(w) * pencil_class(w.p - s + 2, w.n) * hyperplane(w.n) ** (w.n - s)
     )
-    assert value == recomputed, (value, recomputed, w, s)
+    _check_consistent(value, recomputed, "polar degree vs ring integral", w, s)
     return value
 
 
@@ -196,5 +203,5 @@ class DegreeBounds:
 def hypersurface_degree_bound(w: WebCharNumbers) -> DegreeBounds:
     """Solve (d-1)^m <= d_m + d_(m-1) exactly for every m in 1..p."""
     bounds = tuple(1 + integer_root(w.d[m] + w.d[m - 1], m) for m in range(1, w.p + 1))
-    assert bounds[0] == w.k + w.d[1] + 1
+    _check_consistent(bounds[0], w.k + w.d[1] + 1, "m=1 bound vs k + d_1 + 1", w)
     return DegreeBounds(per_m=bounds, overall=min(bounds))

@@ -11,6 +11,12 @@ two-term degree formulas can be checked against actual loci.
 All arithmetic is exact; randomness only picks lines and points, every draw
 is reproducible from a seed, and each measurement is accepted only when two
 independent generic samples agree.
+
+Validation certifies square-freeness one-sidedly: a nonzero univariate
+discriminant at a fixed integer point (CERTIFICATE_POINTS, independent of
+any seed) proves it, and only otherwise is the symbolic discriminant
+Res_p(F, F_p) computed.  That resultant is cached on the web
+(``ImplicitWeb.discriminant``), so ``discriminant_locus`` reuses it.
 """
 
 from __future__ import annotations
@@ -41,9 +47,11 @@ class ImplicitWeb:
     """A plane k-web cut out by F(x, y, p) with p the slope variable.
 
     Validity requires positive degree k in p and square-freeness of F as a
-    p-polynomial over the rational function field in x and y; the latter is
-    decided exactly by the resultant of F with its p-derivative not
-    vanishing identically.
+    p-polynomial over the rational function field in x and y, that is, a
+    discriminant Res_p(F, F_p) that is not identically zero.  Validation
+    first tries the one-sided certificate of ``_certified_square_free`` and
+    computes the symbolic discriminant only when that proves nothing; either
+    way ``discriminant`` is computed at most once per web.
     """
 
     def __init__(self, f: MultiPoly):
@@ -53,9 +61,39 @@ class ImplicitWeb:
             raise ValueError("web polynomials may use only the variables x, y and p")
         if f.degree("p") < 1:
             raise ValueError("web polynomial is constant in the slope variable p")
-        if resultant(f, f.derivative("p"), "p").is_zero:
-            raise ValueError("web polynomial is not square-free in the slope variable p")
         self.f = f
+        if not self._certified_square_free() and self.discriminant.is_zero:
+            raise ValueError("web polynomial is not square-free in the slope variable p")
+
+    def _certified_square_free(self) -> bool:
+        """True proves F square-free in p; False proves nothing.
+
+        At a point (x0, y0) where the leading p-coefficient of F does not
+        vanish, specialisation keeps the p-degrees of F and F_p, so the
+        univariate Res_p(F(x0, y0, p), F_p(x0, y0, p)) is the value of the
+        symbolic discriminant there, and a nonzero value shows that the
+        discriminant is a nonzero polynomial.  A nonzero discriminant of
+        total degree D vanishes on at most a D / 1999 share of the sampling
+        box (Schwartz-Zippel), so for square-free input the symbolic
+        fallback is rare.
+        """
+        k = self.k
+        terms = self.f.terms().items()
+        for x0, y0 in CERTIFICATE_POINTS:
+            specialised = [0] * (k + 1)
+            for exps, coeff in terms:
+                specialised[exps[2]] += coeff * x0 ** exps[0] * y0 ** exps[1]
+            if not specialised[k]:
+                continue
+            g = MultiPoly({(0, 0, i, 0, 0): c for i, c in enumerate(specialised)})
+            if not resultant(g, g.derivative("p"), "p").is_zero:
+                return True
+        return False
+
+    @cached_property
+    def discriminant(self) -> MultiPoly:
+        """The symbolic discriminant Res_p(F, F_p), computed on first use."""
+        return resultant(self.f, self.f.derivative("p"), "p")
 
     @property
     def k(self) -> int:
@@ -86,11 +124,6 @@ class ImplicitWeb:
         return out
 
 
-def web_k(web: ImplicitWeb) -> int:
-    """Number of branches through a generic point: the p-degree of F."""
-    return web.k
-
-
 def restriction_to_line(web: ImplicitWeb, line: AffineLine) -> MultiPoly:
     """F restricted to the line with the slope pinned to the line's own: g(x)."""
     x = MultiPoly.variable("x")
@@ -111,7 +144,11 @@ def restriction_homogeneous(web: ImplicitWeb, line: AffineLine) -> MultiPoly:
         raise DegenerateSampleError(f"line y = {line.a}*x + {line.b} is tangent everywhere")
     u = MultiPoly.variable("u")
     at_infinity = web.infinity_chart.substitute(y=line.a + line.b * u, p=line.b)
-    assert not at_infinity.is_zero
+    if at_infinity.is_zero:
+        raise RuntimeError(
+            f"internal consistency check failed: the infinity chart vanishes on the line "
+            f"y = {line.a}*x + {line.b} whose affine restriction does not"
+        )
     infinity_order = at_infinity.min_degree("u")
     t = MultiPoly.variable("t")
     degree = g.degree("x")
@@ -137,6 +174,15 @@ def _rng(seed: int, stream: str, index: int) -> random.Random:
     # string seeding hashes with sha512 inside random.seed: stable across
     # runs and platforms, and each (stream, index) pair is independent
     return random.Random(f"{seed}:{stream}:{index}")
+
+
+# Fixed points of the square-freeness certificate, from their own stream:
+# validation depends on no seed and draws no sample point.
+CERTIFICATE_POINTS = tuple(
+    (rng.randint(-COEFFICIENT_SPAN, COEFFICIENT_SPAN),
+     rng.randint(-COEFFICIENT_SPAN, COEFFICIENT_SPAN))
+    for rng in (_rng(0, "certificate", index) for index in range(2))
+)
 
 
 def sample_line(seed: int, index: int) -> AffineLine:
@@ -197,7 +243,7 @@ def discriminant_locus(web: ImplicitWeb) -> MultiPoly:
     The zero set contains every non-smooth point of the web in this chart;
     for k = 1 it is a nonzero constant.
     """
-    return resultant(web.f, web.f.derivative("p"), "p").primitive_part()
+    return web.discriminant.primitive_part()
 
 
 def _invariance_core(p_coefficients: list[MultiPoly], curve: MultiPoly) -> bool:

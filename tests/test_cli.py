@@ -1,10 +1,14 @@
 """Command-line contract: golden JSON records, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import webpolar
 from webpolar.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -61,6 +65,29 @@ class TestGoldenRecords:
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+    def test_same_bytes_under_python_optimize(self):
+        # -O strips assert statements: the internal cross-checks must not be
+        # asserts, and the records must not depend on them
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from webpolar.cli import main\n"
+            "assert not __debug__\n"
+            "results = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        code = main(argv)\n"
+            "    results.append([code, out.getvalue()])\n"
+            "print(json.dumps(results))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(webpolar.__file__).parent.parent))
+        completed = subprocess.run(
+            [sys.executable, "-O", "-c", script, json.dumps([argv for _, _, argv in GOLDEN_CASES])],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        expected = [[code, (GOLDEN / name).read_text()] for name, code, _ in GOLDEN_CASES]
+        assert json.loads(completed.stdout) == expected
 
     def test_schema_field_order(self, capsys):
         _, out, _ = run(capsys, "ring", "--n", "2", "h", "--format", "json")
@@ -139,6 +166,16 @@ class TestVerdictsAndExitCodes:
 
     def test_missing_subcommand_exits_one(self, capsys):
         assert run(capsys)[0] == 1
+
+    @pytest.mark.parametrize(
+        "f",
+        ["(" * 3000 + "p" + ")" * 3000, "9" * 5000 + "*p", "p^100000", "p+" * 60000 + "p"],
+        ids=["nesting", "literal", "exponent", "length"],
+    )
+    def test_oversized_input_is_a_parse_error(self, capsys, f):
+        code, out, err = run(capsys, "web", "--f", f, "--seed", "1")
+        assert code == 1
+        assert out == "" and "parse error" in err
 
     def test_constant_web_polynomial_rejected(self, capsys):
         code, _, err = run(capsys, "web", "--f", "5", "--seed", "1")

@@ -5,6 +5,10 @@ import random
 import pytest
 
 from webpolar.exprparse import (
+    MAX_EXPONENT,
+    MAX_LITERAL_DIGITS,
+    MAX_NESTING_DEPTH,
+    MAX_SOURCE_LENGTH,
     ParseError,
     parse_expr,
     parse_poly_expr,
@@ -78,6 +82,42 @@ class TestErrors:
     def test_empty_input(self):
         with pytest.raises(ParseError):
             parse_expr("", {"x"})
+
+
+class TestLimits:
+    def test_nesting_at_the_limit_parses(self):
+        depth = MAX_NESTING_DEPTH
+        assert parse_poly_expr("(" * depth + "x" + ")" * depth, {"x"}) == X
+        assert parse_poly_expr("(x*" * depth + "x" + ")" * depth, {"x"}) == X ** (depth + 1)
+
+    def test_nesting_beyond_the_limit_rejected(self):
+        depth = MAX_NESTING_DEPTH + 1
+        with pytest.raises(ParseError) as err:
+            parse_poly_expr("(" * depth + "x" + ")" * depth, {"x"})
+        assert err.value.column == depth
+
+    def test_long_sums_and_products_do_not_recurse(self):
+        # far more terms than the interpreter's recursion limit
+        assert parse_poly_expr("+".join(["x"] * 5000), {"x"}) == 5000 * X
+        assert parse_ring_expr("*".join(["1"] * 5000) + "*h", 2) == hyperplane(2)
+
+    def test_exponent_limit(self):
+        assert parse_poly_expr(f"x^{MAX_EXPONENT}", {"x"}) == X ** MAX_EXPONENT
+        with pytest.raises(ParseError) as err:
+            parse_poly_expr(f"x^{MAX_EXPONENT + 1}", {"x"})
+        assert err.value.column == 3
+
+    def test_literal_digit_limit(self):
+        big = 10 ** (MAX_LITERAL_DIGITS - 1)
+        assert parse_poly_expr(f"{big}*x", {"x"}) == big * X
+        with pytest.raises(ParseError):
+            parse_poly_expr(f"{big * 10}*x", {"x"})
+
+    def test_length_limit(self):
+        padded = "x" + " " * (MAX_SOURCE_LENGTH - 1)
+        assert parse_poly_expr(padded, {"x"}) == X
+        with pytest.raises(ParseError):
+            parse_poly_expr(padded + " ", {"x"})
 
 
 class TestRoundTrip:

@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from webpolar.multipoly import MultiPoly, resultant, sylvester_matrix, variables
 
@@ -39,6 +41,38 @@ def random_poly(rng, max_terms=5, max_exp=3, span=9, slots=(0, 1, 2)):
         if coeff:
             terms[tuple(exps)] = coeff
     return MultiPoly(terms)
+
+
+_TERM_MAPS = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 3, st.integers(0, 1), st.just(0)),
+    st.integers(-9, 9),
+    max_size=5,
+)
+
+
+def _reference_exact_div(dividend, divisor):
+    """Division that takes the largest remaining monomial with max() each
+    step: the quadratic loop the heap-ordered division must reproduce."""
+    remainder = dividend.terms()
+    quotient = {}
+    div_lm, div_lc = divisor.leading_term()
+    while remainder:
+        lm = max(remainder)
+        delta = tuple(a - b for a, b in zip(lm, div_lm))
+        if any(e < 0 for e in delta):
+            return None
+        q, r = divmod(remainder[lm], div_lc)
+        if r:
+            return None
+        quotient[delta] = q
+        for exps, coeff in divisor.terms().items():
+            key = tuple(a + b for a, b in zip(delta, exps))
+            updated = remainder.get(key, 0) - q * coeff
+            if updated:
+                remainder[key] = updated
+            else:
+                remainder.pop(key, None)
+    return MultiPoly(quotient)
 
 
 class TestArithmetic:
@@ -126,6 +160,26 @@ class TestExactDivision:
     def test_zero_divisor_rejected(self):
         with pytest.raises(ZeroDivisionError):
             X.try_exact_div(MultiPoly.zero())
+
+    @settings(max_examples=300, deadline=None)
+    @given(f=st.builds(MultiPoly, _TERM_MAPS), g=st.builds(MultiPoly, _TERM_MAPS))
+    def test_products_divide_back(self, f, g):
+        if not g.is_zero:
+            assert (f * g).try_exact_div(g) == f
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        f=st.builds(MultiPoly, _TERM_MAPS),
+        g=st.builds(MultiPoly, _TERM_MAPS),
+        noise=st.builds(MultiPoly, _TERM_MAPS),
+    )
+    def test_agrees_with_largest_monomial_division(self, f, g, noise):
+        # f*g + noise is mostly not a multiple of g: the quotient, or the
+        # None, must be exactly what the reference loop gives
+        if g.is_zero:
+            return
+        dividend = f * g + noise
+        assert dividend.try_exact_div(g) == _reference_exact_div(dividend, g)
 
 
 def _univariate_gcd_degree(f_coeffs, g_coeffs):

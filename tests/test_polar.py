@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+import webpolar.polar as polar
 from webpolar.classes import (
     CharNumbers,
     NegativeCharNumberWarning,
@@ -117,6 +118,21 @@ class TestPolarDegreeWeb:
             polar_degree_web(w, 3)
         with pytest.raises(ValueError):
             polar_degree_web(w, 0)
+
+
+class TestCrossChecks:
+    # the ring cross-checks are explicit raises, kept under python -O
+    def test_ring_disagreement_raises(self, monkeypatch):
+        monkeypatch.setattr(polar, "integrate", lambda element: -1)
+        with pytest.raises(RuntimeError, match="internal consistency"):
+            polar_degree_variety(CharNumbers(n=3, q=1, a=(1, 2, 3)), 1)
+        with pytest.raises(RuntimeError, match="internal consistency"):
+            polar_degree_web(WebCharNumbers(n=2, p=1, k=1, d=(1, 2)), 1)
+
+    def test_first_bound_disagreement_raises(self, monkeypatch):
+        monkeypatch.setattr(polar, "integer_root", lambda value, m: 0)
+        with pytest.raises(RuntimeError, match="internal consistency"):
+            hypersurface_degree_bound(WebCharNumbers(n=2, p=1, k=1, d=(1, 2)))
 
 
 class TestInvarianceInequalities:

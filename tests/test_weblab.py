@@ -7,12 +7,17 @@ checked against sympy.
 """
 
 import random
+from unittest import mock
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from webpolar.multipoly import MultiPoly, variables
+import webpolar.weblab as weblab
+from webpolar.multipoly import MultiPoly, resultant, variables
 from webpolar.weblab import (
+    CERTIFICATE_POINTS,
     AffineLine,
     DegenerateSampleError,
     ImplicitWeb,
@@ -24,7 +29,6 @@ from webpolar.weblab import (
     sample_line,
     tangency_with_line,
     web_degree,
-    web_k,
 )
 
 X, Y, P = variables("x", "y", "p")
@@ -38,11 +42,50 @@ def expanded_triple_pencil():
     return (P - 1) * (P - 2) * (P - 3)
 
 
+# vanishes at every certificate point, so a web whose leading p-coefficient
+# carries it can only be validated by the symbolic discriminant
+UNCERTIFIABLE = (X - CERTIFICATE_POINTS[0][0]) * (X - CERTIFICATE_POINTS[1][0])
+
+
+def symbolic_discriminant(f):
+    return resultant(f, f.derivative("p"), "p")
+
+
+def seeded_web_polynomial(rng, k, degree):
+    terms = {}
+    for c in range(k + 1):
+        for a in range(degree + 1):
+            for b in range(degree + 1 - a):
+                terms[(a, b, c, 0, 0)] = rng.randint(-9, 9)
+    terms[(0, degree, k, 0, 0)] = rng.choice([-2, -1, 1, 2])
+    return MultiPoly(terms)
+
+
+def _small_term_maps(max_exp, max_size):
+    return st.dictionaries(
+        st.tuples(*[st.integers(0, max_exp)] * 3, st.just(0), st.just(0)),
+        st.integers(-5, 5),
+        min_size=1,
+        max_size=max_size,
+    )
+
+
+_SMALL_WEBS = st.one_of(
+    st.builds(MultiPoly, _small_term_maps(2, 5)),
+    # a squared factor of positive p-degree: never square-free
+    st.builds(
+        lambda a, b: MultiPoly(a) * MultiPoly(b) ** 2,
+        _small_term_maps(1, 3),
+        _small_term_maps(1, 2).filter(lambda t: any(e[2] for e, c in t.items() if c)),
+    ),
+)
+
+
 class TestImplicitWebValidation:
     def test_k_reads_slope_degree(self):
-        assert web_k(ImplicitWeb(CUSP_WEB)) == 2
-        assert web_k(ImplicitWeb(CIRCLE_FOLIATION)) == 1
-        assert web_k(ImplicitWeb(expanded_triple_pencil())) == 3
+        assert ImplicitWeb(CUSP_WEB).k == 2
+        assert ImplicitWeb(CIRCLE_FOLIATION).k == 1
+        assert ImplicitWeb(expanded_triple_pencil()).k == 3
 
     def test_constant_in_slope_rejected(self):
         with pytest.raises(ValueError):
@@ -59,6 +102,62 @@ class TestImplicitWebValidation:
     def test_extra_variables_rejected(self):
         with pytest.raises(ValueError):
             ImplicitWeb(P + MultiPoly.variable("t"))
+
+
+class TestSquareFreeCertificate:
+    def test_certified_web_leaves_the_discriminant_for_later(self):
+        web = ImplicitWeb(CUSP_WEB)
+        assert "discriminant" not in vars(web)
+        assert web.discriminant == symbolic_discriminant(CUSP_WEB)
+
+    def test_fallback_accepts_a_square_free_web(self):
+        f = UNCERTIFIABLE * P ** 2 + Y
+        assert all(UNCERTIFIABLE.evaluate(x=x0, y=y0) == 0 for x0, y0 in CERTIFICATE_POINTS)
+        web = ImplicitWeb(f)
+        assert "discriminant" in vars(web)  # filled by the fallback
+        assert discriminant_locus(web) == symbolic_discriminant(f).primitive_part()
+
+    @pytest.mark.parametrize(
+        "f",
+        [(P ** 2 - X) ** 2 * (P + Y), UNCERTIFIABLE * (P ** 2 - X) ** 2 * (P + Y)],
+        ids=["certificate-points-usable", "leading-coefficient-vanishes"],
+    )
+    def test_square_factor_rejected(self, f):
+        with pytest.raises(ValueError, match="not square-free"):
+            ImplicitWeb(f)
+
+    @pytest.mark.parametrize(
+        "f", [CUSP_WEB, expanded_triple_pencil(), UNCERTIFIABLE * P ** 2 + Y],
+        ids=["certified", "constant-coefficients", "fallback"],
+    )
+    def test_symbolic_discriminant_computed_at_most_once(self, monkeypatch, f):
+        calls = []
+
+        def counting_resultant(g, h, var):
+            if g is f:
+                calls.append(var)
+            return resultant(g, h, var)
+
+        monkeypatch.setattr(weblab, "resultant", counting_resultant)
+        web = ImplicitWeb(f)
+        discriminant_locus(web)
+        discriminant_locus(web)
+        assert len(calls) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(f=_SMALL_WEBS, certificate=st.booleans())
+    def test_accepts_exactly_the_square_free(self, f, certificate):
+        # without certificate points every web takes the symbolic fallback
+        assume(f.degree("p") >= 1)
+        square_free = not symbolic_discriminant(f).is_zero
+        points = weblab.CERTIFICATE_POINTS if certificate else ()
+        with mock.patch.object(weblab, "CERTIFICATE_POINTS", points):
+            try:
+                ImplicitWeb(f)
+                accepted = True
+            except ValueError:
+                accepted = False
+        assert accepted == square_free
 
 
 class TestTangencyWithLine:
@@ -226,6 +325,27 @@ class TestDiscriminantLocus:
     def test_foliations_have_constant_discriminant(self):
         web = ImplicitWeb(P - (X ** 2 + Y))
         assert discriminant_locus(web).total_degree() == 0
+
+    @pytest.mark.parametrize(
+        "seed,k,degree,fallback",
+        [(0, 2, 1, False), (1, 3, 2, False), (2, 2, 3, False), (3, 3, 3, False),
+         (4, 2, 2, True), (5, 3, 1, True)],
+    )
+    def test_seeded_webs_match_the_symbolic_discriminant(self, seed, k, degree, fallback):
+        # exactly Res_p(F, F_p) over its content, also on the fallback path
+        from math import gcd
+
+        from tests_support import to_sympy_poly
+
+        f = seeded_web_polynomial(random.Random(f"discriminant:{seed}"), k, degree)
+        if fallback:
+            f = UNCERTIFIABLE * f
+        ours = discriminant_locus(ImplicitWeb(f))
+        assert ours == symbolic_discriminant(f).primitive_part()
+        x, y, p = sympy.symbols("x y p")
+        theirs = sympy.resultant(to_sympy_poly(f), sympy.diff(to_sympy_poly(f), p), p)
+        content = gcd(*sympy.Poly(theirs, x, y).coeffs())
+        assert sympy.expand(theirs - content * to_sympy_poly(ours)) == 0
 
     def test_against_sympy(self):
         from tests_support import to_sympy_poly
