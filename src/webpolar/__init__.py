@@ -57,7 +57,6 @@ from .weblab import (
     end_to_end_check,
     is_invariant,
     polar_curve,
-    restriction_homogeneous,
     tangency_with_line,
     web_degree,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "polar_degree_variety",
     "polar_degree_web",
     "resultant",
-    "restriction_homogeneous",
     "smooth_hypersurface_char_numbers",
     "tangency_with_line",
     "tautological_class",

@@ -6,8 +6,9 @@ takes --format {text,json}; the JSON record has the fixed field order
 safety as decimal strings, so fixed inputs give byte-identical output.
 
 Exit status: 0 on success (including an INCONCLUSIVE verdict), 2 when
-non-invariance is certified or the degree-bound check fails, 1 on usage or
-parse errors.
+non-invariance is certified or the degree-bound check fails, 1 on usage,
+parse or value errors, which ``main`` maps to one line on stderr.  Internal
+consistency failures are RuntimeErrors and propagate.
 """
 
 from __future__ import annotations
@@ -34,10 +35,6 @@ from .ring import integrate
 from .weblab import DegenerateSampleError, ImplicitWeb, end_to_end_check
 
 _SAFE_INT = 2 ** 53
-
-
-class UsageError(ValueError):
-    pass
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -82,7 +79,7 @@ def _int_vector(text: str, label: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise UsageError(f"{label} must be a comma-separated list of integers, got {text!r}")
+        raise ValueError(f"{label} must be a comma-separated list of integers, got {text!r}")
 
 
 # -- subcommand handlers ---------------------------------------------------------
@@ -102,7 +99,7 @@ def _cmd_ring(args) -> int:
 
 def _cmd_conormal(args) -> int:
     if not 0 <= args.j <= args.n - 1:
-        raise UsageError(f"--j must lie in 0..{args.n - 1} for n={args.n}")
+        raise ValueError(f"--j must lie in 0..{args.n - 1} for n={args.n}")
     element = conormal_linear(args.j, args.n)
     record = _record(
         "conormal",
@@ -116,10 +113,7 @@ def _cmd_conormal(args) -> int:
 
 def _cmd_char_web(args) -> int:
     element = parse_ring_expr(args.expr, args.n)
-    try:
-        w = char_numbers_from_web_class(element, args.p, args.k)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    w = char_numbers_from_web_class(element, args.p, args.k)
     record = _record(
         "char-web",
         {"n": args.n, "p": args.p, "k": args.k, "expr": args.expr},
@@ -132,18 +126,15 @@ def _cmd_char_web(args) -> int:
 
 def _cmd_polar(args) -> int:
     if (args.a is None) == (args.d is None):
-        raise UsageError("give exactly one of --a (variety mode) or --d (web mode)")
+        raise ValueError("give exactly one of --a (variety mode) or --d (web mode)")
     if args.a is not None:
         if args.q is None or args.j is None:
-            raise UsageError("variety mode needs --q and --j")
+            raise ValueError("variety mode needs --q and --j")
         a = _int_vector(args.a, "--a")
         if len(a) != args.n:
-            raise UsageError(f"--a must list a_1..a_{args.n} ({args.n} entries), got {len(a)}")
-        try:
-            c = CharNumbers(n=args.n, q=args.q, a=a)
-            degree = polar_degree_variety(c, args.j)
-        except ValueError as exc:
-            raise UsageError(str(exc))
+            raise ValueError(f"--a must list a_1..a_{args.n} ({args.n} entries), got {len(a)}")
+        c = CharNumbers(n=args.n, q=args.q, a=a)
+        degree = polar_degree_variety(c, args.j)
         record = _record(
             "polar",
             {"n": args.n, "mode": "variety", "a": list(a), "q": args.q, "j": args.j},
@@ -152,13 +143,10 @@ def _cmd_polar(args) -> int:
         )
     else:
         if args.s is None:
-            raise UsageError("web mode needs --s")
+            raise ValueError("web mode needs --s")
         d = _int_vector(args.d, "--d")
-        try:
-            w = WebCharNumbers.from_vector(args.n, d, args.k)
-            degree = polar_degree_web(w, args.s)
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        w = WebCharNumbers.from_vector(args.n, d, args.k)
+        degree = polar_degree_web(w, args.s)
         record = _record(
             "polar",
             {"n": args.n, "mode": "web", "d": list(d), "k": w.k, "s": args.s},
@@ -173,13 +161,10 @@ def _cmd_check(args) -> int:
     a = _int_vector(args.a, "--a")
     d = _int_vector(args.d, "--d")
     if len(a) != args.n:
-        raise UsageError(f"--a must list a_1..a_{args.n} ({args.n} entries), got {len(a)}")
-    try:
-        c = CharNumbers(n=args.n, q=args.q, a=a)
-        w = WebCharNumbers.from_vector(args.n, d, args.k)
-        report = invariance_inequalities(c, w, include_conditional=args.include_conditional)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+        raise ValueError(f"--a must list a_1..a_{args.n} ({args.n} entries), got {len(a)}")
+    c = CharNumbers(n=args.n, q=args.q, a=a)
+    w = WebCharNumbers.from_vector(args.n, d, args.k)
+    report = invariance_inequalities(c, w, include_conditional=args.include_conditional)
     witness = report.witness()
     verdict = Verdict.NOT_INVARIANT if witness is not None else Verdict.INCONCLUSIVE
     entries = [
@@ -227,11 +212,8 @@ def _cmd_bound(args) -> int:
     d = _int_vector(args.d, "--d")
     p = len(d) - 1
     n = args.n if args.n is not None else p + 1
-    try:
-        w = WebCharNumbers.from_vector(n, d, args.k)
-        bounds = hypersurface_degree_bound(w)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    w = WebCharNumbers.from_vector(n, d, args.k)
+    bounds = hypersurface_degree_bound(w)
     record = _record(
         "bound",
         {"n": n, "p": p, "k": w.k, "d": list(d)},
@@ -246,15 +228,12 @@ def _cmd_bound(args) -> int:
 
 def _cmd_web(args) -> int:
     if args.format == "json" and args.seed is None:
-        raise UsageError("structured output of randomized runs requires an explicit --seed")
+        raise ValueError("structured output of randomized runs requires an explicit --seed")
     seed = args.seed if args.seed is not None else 0
     f = parse_poly_expr(args.f, {"x", "y", "p"})
     curve = parse_poly_expr(args.curve, {"x", "y"}) if args.curve else None
-    try:
-        web = ImplicitWeb(f)
-        report = end_to_end_check(web, curve, seed)
-    except (ValueError, DegenerateSampleError) as exc:
-        raise UsageError(str(exc))
+    web = ImplicitWeb(f)
+    report = end_to_end_check(web, curve, seed)
     if report.invariant is None:
         verdict = "OK"
     elif report.invariant:
@@ -377,7 +356,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"webpolar: parse error: {exc}", file=sys.stderr)
         return 1
-    except UsageError as exc:
+    except (ValueError, DegenerateSampleError) as exc:
         print(f"webpolar: error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,7 +2,8 @@
 
 The variable universe is fixed to (x, y, p, t, u): x, y are affine plane
 coordinates, p is the slope dy/dx of an implicit differential equation, and
-t, u are reserved for homogenizing restrictions to a projective line.
+u is the coordinate of the chart at infinity.  No computation uses t; the
+slot stays because ``terms()`` exposes this five-slot exponent layout.
 Coefficients are arbitrary-precision integers and nothing here ever touches
 floating point; resultants come from the Sylvester matrix evaluated by
 fraction-free Bareiss elimination, so all intermediate divisions are exact.
@@ -73,6 +74,28 @@ class MultiPoly:
     def one(cls) -> "MultiPoly":
         return cls.const(1)
 
+    @classmethod
+    def sum(cls, polys) -> "MultiPoly":
+        """Sum of an iterable of polynomials, accumulated in one term map.
+
+        Linear in the total number of terms, where a chain of ``+`` would
+        copy the running sum once per summand.
+        """
+        out: dict[Exponents, int] = {}
+        for poly in polys:
+            if not out:
+                out = dict(poly._terms)
+                continue
+            for exps, coeff in poly._terms.items():
+                updated = out.get(exps, 0) + coeff
+                if updated:
+                    out[exps] = updated
+                else:
+                    del out[exps]  # stored coefficients are nonzero
+        result = cls()
+        result._terms = out
+        return result
+
     # -- arithmetic --------------------------------------------------------------
 
     def _coerce(self, other):
@@ -86,16 +109,7 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            updated = out.get(exps, 0) + coeff
-            if updated:
-                out[exps] = updated
-            else:
-                out.pop(exps, None)
-        result = MultiPoly()
-        result._terms = out
-        return result
+        return MultiPoly.sum((self, other))
 
     __radd__ = __add__
 
@@ -236,8 +250,7 @@ class MultiPoly:
                 power_cache[key] = bases[i] ** e
             return power_cache[key]
 
-        out = MultiPoly.zero()
-        for exps, coeff in self._terms.items():
+        def image(exps: Exponents, coeff: int) -> MultiPoly:
             residual = list(exps)
             term = MultiPoly.const(coeff)
             for i, e in enumerate(exps):
@@ -246,8 +259,9 @@ class MultiPoly:
                     term = term * power(i, e)
             shell = MultiPoly()
             shell._terms = {tuple(residual): 1}
-            out = out + term * shell
-        return out
+            return term * shell
+
+        return MultiPoly.sum(image(exps, coeff) for exps, coeff in self._terms.items())
 
     def evaluate(self, **point: int) -> int:
         """Evaluate at an integer point assigning every used variable."""

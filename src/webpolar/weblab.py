@@ -5,8 +5,10 @@ integer polynomial F(x, y, p), p standing for the slope dy/dx: through a
 generic point pass the k curve branches whose slopes are the p-roots of F.
 This module measures the web's characteristic numbers directly from such
 tangency geometry (degree via restriction to random lines, counted
-projectively; the first polar locus via slope elimination), so the abstract
-two-term degree formulas can be checked against actual loci.
+projectively as the degree of the affine restriction plus the order of
+tangency at the line's point at infinity; the first polar locus via slope
+elimination), so the abstract two-term degree formulas can be checked
+against actual loci.
 
 All arithmetic is exact; randomness only picks lines and points, every draw
 is reproducible from a seed, and each measurement is accepted only when two
@@ -114,10 +116,10 @@ class ImplicitWeb:
         v = MultiPoly.variable("y")
         r = MultiPoly.variable("p")
         folded = v - u * r
-        out = MultiPoly.zero()
-        for exps, coeff in self.f.terms().items():
-            alpha, beta, gamma = exps[0], exps[1], exps[2]
-            out = out + coeff * u ** (n_clear - alpha - beta) * v ** beta * folded ** gamma
+        out = MultiPoly.sum(
+            coeff * u ** (n_clear - alpha - beta) * v ** beta * folded ** gamma
+            for (alpha, beta, gamma, _, _), coeff in self.f.terms().items()
+        )
         saturation = out.min_degree("u")
         if saturation > 0:
             out = out.exact_div(u ** saturation)
@@ -130,14 +132,15 @@ def restriction_to_line(web: ImplicitWeb, line: AffineLine) -> MultiPoly:
     return web.f.substitute(y=line.a * x + line.b, p=line.a)
 
 
-def restriction_homogeneous(web: ImplicitWeb, line: AffineLine) -> MultiPoly:
-    """The full tangency divisor of the line as a binary form in t, u.
+def tangency_with_line(web: ImplicitWeb, line: AffineLine) -> int:
+    """Total degree of the tangency divisor cut on the line.
 
-    The affine restriction g(x) is homogenized via x = t/u; the extra twist
-    u^e records tangency at the line's point at infinity, whose multiplicity
-    is read off in the second chart, where the line is v = b*u + a with
-    slope b.  The zeros of the returned form on the projective line, all of
-    them counted with multiplicity, make up the web's tangency divisor.
+    The count is the degree of the affine restriction g(x), that is the
+    affine tangency points with multiplicity over the complex numbers, plus
+    the order of tangency at the line's point at infinity, read off in the
+    second chart, where the line is v = b*u + a with slope b.
+    Raises DegenerateSampleError when the restriction vanishes identically,
+    signalling a non-generic (or invariant) line.
     """
     g = restriction_to_line(web, line)
     if g.is_zero:
@@ -149,25 +152,7 @@ def restriction_homogeneous(web: ImplicitWeb, line: AffineLine) -> MultiPoly:
             f"internal consistency check failed: the infinity chart vanishes on the line "
             f"y = {line.a}*x + {line.b} whose affine restriction does not"
         )
-    infinity_order = at_infinity.min_degree("u")
-    t = MultiPoly.variable("t")
-    degree = g.degree("x")
-    out = MultiPoly.zero()
-    for exps, coeff in g.terms().items():
-        e = exps[0]
-        out = out + coeff * t ** e * u ** (degree - e + infinity_order)
-    return out
-
-
-def tangency_with_line(web: ImplicitWeb, line: AffineLine) -> int:
-    """Total degree of the tangency divisor cut on the line.
-
-    Counts the affine tangency points (with multiplicity, over the complex
-    numbers) plus the contribution at the line's point at infinity.
-    Raises DegenerateSampleError when the restriction vanishes identically,
-    signalling a non-generic (or invariant) line.
-    """
-    return restriction_homogeneous(web, line).total_degree()
+    return g.degree("x") + at_infinity.min_degree("u")
 
 
 def _rng(seed: int, stream: str, index: int) -> random.Random:
@@ -256,11 +241,11 @@ def _invariance_core(p_coefficients: list[MultiPoly], curve: MultiPoly) -> bool:
     c_x = curve.derivative("x")
     c_y = curve.derivative("y")
     k = len(p_coefficients) - 1
-    cleared = MultiPoly.zero()
-    for i, a_i in enumerate(p_coefficients):
-        if a_i.is_zero:
-            continue
-        cleared = cleared + a_i * (-c_x) ** i * c_y ** (k - i)
+    cleared = MultiPoly.sum(
+        a_i * (-c_x) ** i * c_y ** (k - i)
+        for i, a_i in enumerate(p_coefficients)
+        if not a_i.is_zero
+    )
     if cleared.is_zero:
         return True
     return curve.primitive_part().divides(cleared)
@@ -298,7 +283,6 @@ class WebReport:
     polar_curve_degree: int
     polar_check_ok: bool
     degree_bound: int
-    seed: int
     curve_degree: int | None = None
     invariant: bool | None = None
     bound_check: str = "skipped"  # "holds" | "violated" | "skipped"
@@ -340,29 +324,24 @@ def end_to_end_check(
             f"no generic pencil point within {MAX_RETRIES} samples"
         )
     bound = k + degree + 1
-    if curve is None:
-        return WebReport(
-            k=k,
-            degree=degree,
-            polar_curve_degree=polar_deg,
-            polar_check_ok=polar_deg == k + degree,
-            degree_bound=bound,
-            seed=seed,
-        )
-    invariant = is_invariant(web, curve)
-    curve_degree = curve.total_degree()
-    if invariant:
-        bound_check = "holds" if curve_degree <= bound else "violated"
-    else:
-        bound_check = "skipped"
+    curve_fields = {}
+    if curve is not None:
+        invariant = is_invariant(web, curve)
+        curve_degree = curve.total_degree()
+        if invariant:
+            bound_check = "holds" if curve_degree <= bound else "violated"
+        else:
+            bound_check = "skipped"
+        curve_fields = {
+            "curve_degree": curve_degree,
+            "invariant": invariant,
+            "bound_check": bound_check,
+        }
     return WebReport(
         k=k,
         degree=degree,
         polar_curve_degree=polar_deg,
         polar_check_ok=polar_deg == k + degree,
         degree_bound=bound,
-        seed=seed,
-        curve_degree=curve_degree,
-        invariant=invariant,
-        bound_check=bound_check,
+        **curve_fields,
     )

@@ -5,11 +5,16 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import webpolar
+import webpolar.cli as cli
 from webpolar.cli import main
+from webpolar.weblab import DegenerateSampleError
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -181,6 +186,75 @@ class TestVerdictsAndExitCodes:
         code, _, err = run(capsys, "web", "--f", "5", "--seed", "1")
         assert code == 1
         assert "constant" in err
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["ring", "--n", "0", "h"], ["char-web", "--n", "0", "--p", "1", "h"]],
+        ids=["ring", "char-web"],
+    )
+    def test_out_of_range_dimension_exits_one(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("webpolar: error:") and "Traceback" not in err
+
+    def test_degenerate_sample_exits_one(self, capsys):
+        with mock.patch.object(cli, "end_to_end_check",
+                               side_effect=DegenerateSampleError("no generic line")):
+            code, out, err = run(capsys, "web", "--f", "p^2 - x", "--seed", "1")
+        assert (code, out, err) == (1, "", "webpolar: error: no generic line\n")
+
+    def test_internal_failure_propagates(self, capsys):
+        # consistency checks are RuntimeErrors: a bug, not a usage error
+        with mock.patch.object(cli, "integrate",
+                               side_effect=RuntimeError("consistency check failed")):
+            with pytest.raises(RuntimeError, match="consistency check failed"):
+                main(["ring", "--n", "2", "h"])
+
+
+_SMALL = st.integers(-2, 6).map(str)
+_VECTOR = st.lists(st.integers(-3, 30), max_size=4).map(lambda v: ",".join(map(str, v)))
+_RING_EXPR = st.sampled_from(["h", "c", "h^2*c", "2*h + c", "h - h"])
+_GARBAGE = st.sampled_from(["--bogus", "h^^2", "1,,2", "x", "-", "--n", "7"])
+
+
+@st.composite
+def calculus_argv(draw):
+    """A calculus subcommand with small, often out-of-range values, and
+    maybe one garbage token somewhere."""
+    command = draw(st.sampled_from(["ring", "conormal", "char-web", "polar", "check", "bound"]))
+    n = ["--n", draw(_SMALL)]
+    if command == "ring":
+        argv = [command, *n, draw(_RING_EXPR)]
+    elif command == "conormal":
+        argv = [command, *n, "--j", draw(_SMALL)]
+    elif command == "char-web":
+        argv = [command, *n, "--p", draw(_SMALL), "--k", draw(_SMALL), draw(_RING_EXPR)]
+    elif command == "polar" and draw(st.booleans()):
+        argv = [command, *n, "--a", draw(_VECTOR), "--q", draw(_SMALL), "--j", draw(_SMALL)]
+    elif command == "polar":
+        argv = [command, *n, "--d", draw(_VECTOR), "--s", draw(_SMALL)]
+    elif command == "check":
+        argv = [command, *n, "--q", draw(_SMALL), "--a", draw(_VECTOR), "--d", draw(_VECTOR)]
+    else:
+        argv = [command, *n, "--d", draw(_VECTOR)]
+    garbage = draw(st.none() | _GARBAGE)
+    if garbage is not None:
+        argv.insert(draw(st.integers(1, len(argv))), garbage)
+    return argv
+
+
+class TestExitContract:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=calculus_argv())
+    def test_exit_code_is_zero_one_or_two(self, capsys, argv):
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert out == ""
 
 
 class TestSeedHandling:

@@ -5,8 +5,10 @@ independent oracle (sympy) and against root-sharing criteria at random
 integer points, never against values this module produced itself.
 """
 
+import operator
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 import sympy
@@ -75,6 +77,20 @@ def _reference_exact_div(dividend, divisor):
     return MultiPoly(quotient)
 
 
+def _value(poly, point):
+    """Value at an integer point (x, y, p, t, u), straight from the terms."""
+    total = 0
+    for exps, coeff in poly.terms().items():
+        for value, e in zip(point, exps):
+            coeff *= value ** e
+        total += coeff
+    return total
+
+
+_POLYS = st.builds(MultiPoly, _TERM_MAPS)
+_POINTS = st.tuples(*[st.integers(-5, 5)] * 5)
+
+
 class TestArithmetic:
     def test_ring_laws(self):
         rng = random.Random(61)
@@ -114,6 +130,23 @@ class TestArithmetic:
     def test_substitute_polynomial(self):
         f = X * Y
         assert f.substitute(x=Y + 1) == Y ** 2 + Y
+
+    @settings(max_examples=200, deadline=None)
+    @given(f=_POLYS, g=_POLYS, h=_POLYS, point=_POINTS)
+    def test_substitute_commutes_with_evaluation(self, f, g, h, point):
+        image = (_value(g, point), _value(h, point), *point[2:])
+        assert _value(f.substitute(x=g, y=h), point) == _value(f, image)
+
+    @settings(max_examples=200, deadline=None)
+    @given(polys=st.lists(_POLYS, max_size=6), cancel=st.booleans())
+    def test_sum_is_a_fold_of_addition(self, polys, cancel):
+        if cancel:
+            polys = polys + [-f for f in reversed(polys)]
+        total = MultiPoly.sum(polys)
+        assert total == reduce(operator.add, polys, MultiPoly.zero())
+        assert 0 not in total.terms().values()
+        if cancel:
+            assert total.is_zero
 
     def test_evaluate(self):
         f = X ** 2 + Y * P - 4

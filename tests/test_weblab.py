@@ -25,7 +25,7 @@ from webpolar.weblab import (
     end_to_end_check,
     is_invariant,
     polar_curve,
-    restriction_homogeneous,
+    restriction_to_line,
     sample_line,
     tangency_with_line,
     web_degree,
@@ -49,6 +49,29 @@ UNCERTIFIABLE = (X - CERTIFICATE_POINTS[0][0]) * (X - CERTIFICATE_POINTS[1][0])
 
 def symbolic_discriminant(f):
     return resultant(f, f.derivative("p"), "p")
+
+
+def homogenized_tangency_form(web, line):
+    """The tangency divisor of the line as a binary form in t, u.
+
+    The affine restriction g(x) is homogenized via x = t/u and twisted by
+    u^e, e the order of tangency at the line's point at infinity, read off
+    in the second chart where the line is v = b*u + a with slope b.  Every
+    monomial has the same total degree, the count ``tangency_with_line``
+    returns directly.
+    """
+    g = restriction_to_line(web, line)
+    if g.is_zero:
+        raise DegenerateSampleError(f"line {line} is tangent everywhere")
+    t, u = variables("t", "u")
+    at_infinity = web.infinity_chart.substitute(y=line.a + line.b * u, p=line.b)
+    assert not at_infinity.is_zero
+    infinity_order = at_infinity.min_degree("u")
+    degree = g.degree("x")
+    form = MultiPoly.zero()
+    for exps, coeff in g.terms().items():
+        form = form + coeff * t ** exps[0] * u ** (degree - exps[0] + infinity_order)
+    return form
 
 
 def seeded_web_polynomial(rng, k, degree):
@@ -165,9 +188,8 @@ class TestTangencyWithLine:
     def test_single_tangency_all_affine(self, f):
         web = ImplicitWeb(f)
         line = AffineLine(5, 7)
-        form = restriction_homogeneous(web, line)
-        assert form.total_degree() == 1
-        assert form.min_degree("u") == 0  # no mass at the point at infinity
+        # the whole divisor is affine: no mass at the point at infinity
+        assert restriction_to_line(web, line).degree("x") == 1
         assert tangency_with_line(web, line) == 1
 
     def test_parallel_pencil_has_no_tangencies(self):
@@ -193,8 +215,8 @@ class TestTangencyWithLine:
         generic = AffineLine(6, -2)
         assert tangency_with_line(web, generic) == 1
         horizontal = AffineLine(0, 5)
-        form = restriction_homogeneous(web, horizontal)
-        assert form.min_degree("u") == 1  # the whole divisor sits at infinity
+        # the whole divisor sits at infinity
+        assert restriction_to_line(web, horizontal).degree("x") == 0
         assert tangency_with_line(web, horizontal) == 1
 
     def test_multiplicity_counted(self):
@@ -202,6 +224,33 @@ class TestTangencyWithLine:
         # g = -x: a simple zero; the tangency scheme is reduced here
         web = ImplicitWeb(CUSP_WEB)
         assert tangency_with_line(web, AffineLine(0, 3)) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        terms=st.dictionaries(
+            st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2),
+                      st.just(0), st.just(0)).filter(lambda e: e[0] + e[1] <= 2),
+            st.integers(-5, 5),
+            min_size=1,
+            max_size=6,
+        ),
+        a=st.integers(-3, 3),
+        b=st.integers(-3, 3),
+    )
+    def test_count_is_the_degree_of_the_homogenized_form(self, terms, a, b):
+        try:
+            web = ImplicitWeb(MultiPoly(terms))
+        except ValueError:
+            assume(False)
+        line = AffineLine(a, b)
+        try:
+            form = homogenized_tangency_form(web, line)
+        except DegenerateSampleError:
+            with pytest.raises(DegenerateSampleError):
+                tangency_with_line(web, line)
+            return
+        assert {sum(e) for e in form.terms()} == {form.total_degree()}
+        assert tangency_with_line(web, line) == form.total_degree()
 
 
 class TestWebDegree:
