@@ -21,19 +21,27 @@ Inputs come from the command line, so the parser bounds what it accepts
                         per level, so this keeps it far from the
                         interpreter's recursion limit
     MAX_EXPONENT        value of an exponent after '^'
+    MAX_EXPANDED_TERMS  terms a polynomial product or power may reach,
+                        checked before it is expanded: T_a * T_b for a
+                        product a * b, and prod_v (e * deg_v(a) + 1) for a
+                        power a^e
 
 Long sums and products nest only to the left, and ``evaluate`` walks that
 spine in a loop, so their length is bounded by MAX_SOURCE_LENGTH alone.
+The expansion bound also bounds the work: a product takes T_a * T_b term
+pairs, and a power by squaring in x, y and p about MAX_EXPANDED_TERMS^2 / 64.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import prod
 
 MAX_SOURCE_LENGTH = 100_000
 MAX_LITERAL_DIGITS = 4000
 MAX_NESTING_DEPTH = 100
 MAX_EXPONENT = 1000
+MAX_EXPANDED_TERMS = 10_000
 
 
 class ParseError(ValueError):
@@ -79,12 +87,14 @@ class Sub:
 class Mul:
     left: object
     right: object
+    position: tuple[int, int] = field(compare=False)  # line and column of the '*'
 
 
 @dataclass(frozen=True)
 class Pow:
     base: object
     exponent: int
+    position: tuple[int, int] = field(compare=False)  # line and column of the '^'
 
 
 # -- lexer ---------------------------------------------------------------------
@@ -179,14 +189,14 @@ class _Parser:
     def term(self):
         node = self.factor()
         while self.peek().kind == "op" and self.peek().text == "*":
-            self.advance()
-            node = Mul(node, self.factor())
+            star = self.advance()
+            node = Mul(node, self.factor(), (star.line, star.column))
         return node
 
     def factor(self):
         node = self.base()
         if self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
+            caret = self.advance()
             token = self.peek()
             if token.kind != "int":
                 if token.kind == "op" and token.text == "-":
@@ -196,7 +206,7 @@ class _Parser:
             if exponent > MAX_EXPONENT:
                 self.fail(f"exponent larger than {MAX_EXPONENT}", token)
             self.advance()
-            node = Pow(node, exponent)
+            node = Pow(node, exponent, (caret.line, caret.column))
         return node
 
     def base(self):
@@ -235,9 +245,14 @@ def parse_expr(source: str, allowed: frozenset[str] | set[str]):
     return node
 
 
-def evaluate(node, env: dict, const):
+def evaluate(node, env: dict, const, check=None):
     """Fold an AST in any commutative ring given variable values and an
-    integer embedding."""
+    integer embedding.
+
+    ``check(node, left, right)``, when given, runs before every product
+    (``right`` its right operand) and power (``right`` the exponent) and
+    may refuse it by raising.
+    """
     if isinstance(node, (Add, Sub, Mul)):
         # sums and products nest to the left: fold the spine in a loop, so
         # that long inputs do not recurse once per term
@@ -245,14 +260,16 @@ def evaluate(node, env: dict, const):
         while isinstance(node, (Add, Sub, Mul)):
             spine.append(node)
             node = node.left
-        value = evaluate(node, env, const)
+        value = evaluate(node, env, const, check)
         for op in reversed(spine):
-            right = evaluate(op.right, env, const)
+            right = evaluate(op.right, env, const, check)
             if isinstance(op, Add):
                 value = value + right
             elif isinstance(op, Sub):
                 value = value - right
             else:
+                if check is not None:
+                    check(op, value, right)
                 value = value * right
         return value
     if isinstance(node, Lit):
@@ -260,9 +277,12 @@ def evaluate(node, env: dict, const):
     if isinstance(node, Var):
         return env[node.name]
     if isinstance(node, Neg):
-        return -evaluate(node.operand, env, const)
+        return -evaluate(node.operand, env, const, check)
     if isinstance(node, Pow):
-        return evaluate(node.base, env, const) ** node.exponent
+        base = evaluate(node.base, env, const, check)
+        if check is not None:
+            check(node, base, node.exponent)
+        return base ** node.exponent
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -279,6 +299,17 @@ def parse_poly_expr(source: str, allowed: set[str]):
     """Parse and evaluate a polynomial expression over the given variables."""
     from .multipoly import MultiPoly
 
+    def check_expansion(node, left, right):
+        if isinstance(node, Pow):
+            bound = prod(right * max(left.degree(name), 0) + 1 for name in allowed)
+        else:
+            bound = len(left.terms()) * len(right.terms())
+        if bound > MAX_EXPANDED_TERMS:
+            raise ParseError(
+                f"expansion may reach {bound} terms, more than {MAX_EXPANDED_TERMS}",
+                *node.position,
+            )
+
     node = parse_expr(source, allowed)
     env = {name: MultiPoly.variable(name) for name in allowed}
-    return evaluate(node, env, MultiPoly.const)
+    return evaluate(node, env, MultiPoly.const, check_expansion)

@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .multipoly import MultiPoly, resultant
+from .multipoly import MultiPoly, _integer_resultant, resultant
 
 COEFFICIENT_SPAN = 999  # random integer samples are drawn from [-999, 999]
 MAX_RETRIES = 8
@@ -87,8 +87,8 @@ class ImplicitWeb:
                 specialised[exps[2]] += coeff * x0 ** exps[0] * y0 ** exps[1]
             if not specialised[k]:
                 continue
-            g = MultiPoly({(0, 0, i, 0, 0): c for i, c in enumerate(specialised)})
-            if not resultant(g, g.derivative("p"), "p").is_zero:
+            derivative = [i * c for i, c in enumerate(specialised)]
+            if _integer_resultant(specialised[::-1], derivative[:0:-1]):
                 return True
         return False
 

@@ -94,6 +94,15 @@ class TestGoldenRecords:
         expected = [[code, (GOLDEN / name).read_text()] for name, code, _ in GOLDEN_CASES]
         assert json.loads(completed.stdout) == expected
 
+    def test_python_dash_m_prints_the_golden_bytes(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(webpolar.__file__).parent.parent))
+        completed = subprocess.run(
+            [sys.executable, "-m", "webpolar", "ring", "--n", "2", "c^2", "--format", "json"],
+            capture_output=True, env=env, timeout=60,
+        )
+        assert completed.returncode == 0
+        assert completed.stdout == (GOLDEN / "ring.json").read_bytes()
+
     def test_schema_field_order(self, capsys):
         _, out, _ = run(capsys, "ring", "--n", "2", "h", "--format", "json")
         record = json.loads(out)
@@ -182,6 +191,12 @@ class TestVerdictsAndExitCodes:
         assert code == 1
         assert out == "" and "parse error" in err
 
+    def test_expansion_past_the_cap_exits_one(self, capsys):
+        code, out, err = run(capsys, "web", "--f", "(x+y+p)^200", "--seed", "1")
+        assert (code, out) == (1, "")
+        assert err == ("webpolar: parse error: line 1, column 8: expansion may reach "
+                       "8120601 terms, more than 10000\n")
+
     def test_constant_web_polynomial_rejected(self, capsys):
         code, _, err = run(capsys, "web", "--f", "5", "--seed", "1")
         assert code == 1
@@ -217,15 +232,26 @@ _SMALL = st.integers(-2, 6).map(str)
 _VECTOR = st.lists(st.integers(-3, 30), max_size=4).map(lambda v: ",".join(map(str, v)))
 _RING_EXPR = st.sampled_from(["h", "c", "h^2*c", "2*h + c", "h - h"])
 _GARBAGE = st.sampled_from(["--bogus", "h^^2", "1,,2", "x", "-", "--n", "7"])
+_WEB_F = st.sampled_from([
+    "p^2 - x", "x*p - y", "p^2 - y", "p", "5", "x", "p^2", "(p - x)^2", "y*p^2 + x*p - 1",
+    "(x+y+p)^200", "(x+y+p)^30*(x-y)^30", "x*y*p^", "q*p",
+])
+_WEB_CURVE = st.sampled_from(["4*y - x^2", "y", "x", "y - x^5", "x^2 + y^2 - 1", "3", "p"])
 
 
 @st.composite
-def calculus_argv(draw):
-    """A calculus subcommand with small, often out-of-range values, and
-    maybe one garbage token somewhere."""
-    command = draw(st.sampled_from(["ring", "conormal", "char-web", "polar", "check", "bound"]))
+def cli_argv(draw):
+    """A subcommand with small, often out-of-range values, and maybe one
+    garbage token somewhere."""
+    command = draw(st.sampled_from(
+        ["ring", "conormal", "char-web", "polar", "check", "bound", "web"]
+    ))
     n = ["--n", draw(_SMALL)]
-    if command == "ring":
+    if command == "web":
+        argv = [command, "--f", draw(_WEB_F), "--seed", draw(_SMALL)]
+        if draw(st.booleans()):
+            argv += ["--curve", draw(_WEB_CURVE)]
+    elif command == "ring":
         argv = [command, *n, draw(_RING_EXPR)]
     elif command == "conormal":
         argv = [command, *n, "--j", draw(_SMALL)]
@@ -248,7 +274,7 @@ def calculus_argv(draw):
 class TestExitContract:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(argv=calculus_argv())
+    @given(argv=cli_argv())
     def test_exit_code_is_zero_one_or_two(self, capsys, argv):
         code = main(argv)
         out = capsys.readouterr().out

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from webpolar.exprparse import (
+    MAX_EXPANDED_TERMS,
     MAX_EXPONENT,
     MAX_LITERAL_DIGITS,
     MAX_NESTING_DEPTH,
@@ -118,6 +119,31 @@ class TestLimits:
         assert parse_poly_expr(padded, {"x"}) == X
         with pytest.raises(ParseError):
             parse_poly_expr(padded + " ", {"x"})
+
+    def test_power_expansion_limit(self):
+        # (x + y + p)^e may reach (e + 1)^3 terms
+        web = {"x", "y", "p"}
+        edge = 20
+        assert (edge + 1) ** 3 <= MAX_EXPANDED_TERMS < (edge + 2) ** 3
+        assert parse_poly_expr(f"(x + y + p)^{edge}", web) == (X + Y + P) ** edge
+        with pytest.raises(ParseError) as err:
+            parse_poly_expr("1 + (x + y + p)^200", web)
+        assert err.value.column == 16
+        assert "8120601 terms" in str(err.value)
+        # the bound counts only the variables the base uses
+        assert parse_poly_expr(f"x^{MAX_EXPONENT}", web) == X ** MAX_EXPONENT
+
+    def test_product_expansion_limit(self):
+        # T_a * T_b terms before the product is formed
+        side = "+".join(f"x^{i}" for i in range(100))
+        assert len(parse_poly_expr(f"({side})*({side})", {"x"}).terms()) == 199
+        with pytest.raises(ParseError) as err:
+            parse_poly_expr(f"({side})*({side}+y)", {"x", "y"})
+        assert err.value.column == len(side) + 3
+        assert f"more than {MAX_EXPANDED_TERMS}" in str(err.value)
+
+    def test_ring_expressions_are_not_capped(self):
+        assert parse_ring_expr("(h + c)^4", 2) == (hyperplane(2) + dual_hyperplane(2)) ** 4
 
 
 class TestRoundTrip:

@@ -12,10 +12,20 @@ from functools import reduce
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from webpolar.multipoly import MultiPoly, resultant, sylvester_matrix, variables
+from webpolar.exprparse import parse_poly_expr
+from webpolar.multipoly import (
+    MultiPoly,
+    _bareiss_determinant,
+    _kronecker_resultant,
+    _Packing,
+    _use_kronecker,
+    resultant,
+    sylvester_matrix,
+    variables,
+)
 
 X, Y, P = variables("x", "y", "p")
 
@@ -147,6 +157,20 @@ class TestArithmetic:
         assert 0 not in total.terms().values()
         if cancel:
             assert total.is_zero
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=_POLYS, b=_POLYS, overlap=st.sampled_from(["none", "all", "some"]))
+    def test_subtraction_adds_the_negation(self, a, b, overlap):
+        if overlap == "all":
+            b = a  # the difference cancels to zero
+        elif overlap == "some":
+            b = a + b
+        difference = a - b
+        assert difference == a + (-b)
+        assert 0 not in difference.terms().values()
+        if overlap == "all":
+            assert difference.is_zero
+        assert a - 3 == a + (-3) and 3 - a == 3 + (-a)
 
     def test_evaluate(self):
         f = X ** 2 + Y * P - 4
@@ -310,6 +334,138 @@ class TestResultant:
         assert len(rows) == 3 and all(len(r) == 3 for r in rows)
         with pytest.raises(ValueError):
             sylvester_matrix(X, P, "p")
+
+
+_BIG = st.integers(-(2 ** 100), 2 ** 100)
+_COEFFICIENTS = st.one_of(st.integers(-3, 3), st.integers(-9, 9), _BIG)
+
+
+@st.composite
+def _elimination_pairs(draw):
+    """(f, g, var) with positive degree in var, over all five slots, with
+    small or 100-bit coefficients of either sign; sometimes with a common
+    factor (zero resultant) or in the form v^2 + a, v^2 + b*v + a, whose
+    Sylvester matrix has a vanishing leading 3x3 minor (a zero pivot)."""
+    var = draw(st.sampled_from(["x", "y", "p", "t", "u"]))
+    v = MultiPoly.variable(var)
+    polys = st.builds(
+        MultiPoly,
+        st.dictionaries(
+            st.tuples(*[st.integers(0, 2)] * 3, *[st.integers(0, 1)] * 2),
+            _COEFFICIENTS,
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    shape = draw(st.sampled_from(["random", "common factor", "zero pivot"]))
+    if shape == "zero pivot":
+        a, b = (draw(polys).substitute(**{var: 1}) for _ in range(2))
+        f, g = v ** 2 + a, v ** 2 + b * v + a
+    else:
+        f, g = (draw(polys) + draw(st.integers(1, 9)) * v ** draw(st.integers(1, 2))
+                for _ in range(2))
+        if shape == "common factor":
+            common = v + draw(polys).substitute(**{var: 1})
+            f, g = f * common, g * common
+    assume(f.degree(var) >= 1 and g.degree(var) >= 1)
+    # keep each example in milliseconds: both paths grow fast with size
+    assume(_Packing(f, g, var).packed_bits <= 1 << 16)
+    return f, g, var
+
+
+def kronecker(f, g, var):
+    return _kronecker_resultant(f, g, _Packing(f, g, var))
+
+
+def symbolic(f, g, var):
+    return _bareiss_determinant(sylvester_matrix(f, g, var))
+
+
+class TestKroneckerResultant:
+    """The packed integer determinant against symbolic Bareiss and sympy."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=_elimination_pairs())
+    def test_matches_symbolic_bareiss(self, pair):
+        f, g, var = pair
+        assert kronecker(f, g, var) == symbolic(f, g, var)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pair=_elimination_pairs())
+    def test_antisymmetry(self, pair):
+        f, g, var = pair
+        sign = (-1) ** (f.degree(var) * g.degree(var))
+        assert kronecker(f, g, var) == sign * kronecker(g, f, var)
+
+    def test_common_factor_gives_zero(self):
+        common = X * P - Y ** 2 + 7
+        assert kronecker((P ** 2 + X) * common, (Y * P - 3) * common, "p").is_zero
+
+    def test_zero_pivot(self):
+        # the leading 3x3 minor of this Sylvester matrix vanishes, so both
+        # eliminations exchange rows; Res = prod over f's roots a of
+        # g(a) = y*a, which is y^2 * x
+        f, g = P ** 2 + X, P ** 2 + Y * P + X
+        leading = [row[:3] for row in sylvester_matrix(f, g, "p")[:3]]
+        assert _bareiss_determinant(leading).is_zero
+        assert kronecker(f, g, "p") == symbolic(f, g, "p") == X * Y ** 2
+
+    def test_against_sympy(self):
+        rng = random.Random(83)
+        done = 0
+        while done < 20:
+            # sympy's resultant takes seconds on four-term inputs in five variables
+            span = 2 ** rng.choice([3, 30, 100])
+            f = random_poly(rng, max_terms=3, max_exp=2, span=span, slots=(0, 1, 2, 3, 4))
+            g = random_poly(rng, max_terms=3, max_exp=2, span=span, slots=(0, 1, 2, 3, 4))
+            var = rng.choice(["x", "y", "p", "t", "u"])
+            if f.degree(var) < 1 or g.degree(var) < 1:
+                continue
+            ours = to_sympy(kronecker(f, g, var))
+            theirs = sympy.resultant(to_sympy(f), to_sympy(g), _SYMPY_VARS["xyptu".index(var)])
+            assert sympy.expand(ours - theirs) == 0
+            done += 1
+
+    @pytest.mark.parametrize(
+        "c,g",
+        [(64, P - 64), (100, P - 100), (100, P ** 2 + 100)],
+        ids=["half", "carry", "beyond box"],
+    )
+    def test_consistency_check_fires_on_a_short_digit(self, c, g):
+        # Res(p + c, g) = g(-c) is -128, -200 or 10100 and needs two bytes
+        # per digit; with one byte its digits read back as a signed digit
+        # of -128, a carry out of the top digit, or a digit beyond the box
+        f = P + c
+        packing = _Packing(f, g, "p")
+        assert packing.box == 1 and packing.width > 1
+        assert _kronecker_resultant(f, g, packing) == g.evaluate(p=-c)
+        packing.width = 1
+        with pytest.raises(RuntimeError, match="coefficient bound"):
+            _kronecker_resultant(f, g, packing)
+
+
+class TestDispatch:
+    """Which path ``resultant`` takes on inputs on either side of the rule."""
+
+    @pytest.mark.parametrize("text", ["x^40*p^3 + y^40*p + 1", "x^30*p^4 + y^30*p^2 + x*p + 7"])
+    def test_sparse_high_degree_stays_symbolic(self, text):
+        f = parse_poly_expr(text, {"x", "y", "p"})
+        g = f.derivative("p")
+        packing = _Packing(f, g, "p")
+        assert not _use_kronecker(f, g, packing, f.degree("p") + g.degree("p"))
+        assert resultant(f, g, "p") == symbolic(f, g, "p")
+
+    def test_dense_web_is_packed(self):
+        # k = 4, every p-coefficient of x,y-degree 3 with all 10 monomials
+        rng = random.Random(89)
+        f = MultiPoly({
+            (a, b, c, 0, 0): rng.choice([v for v in range(-9, 10) if v])
+            for c in range(5) for a in range(4) for b in range(4 - a)
+        })
+        g = f.derivative("p")
+        packing = _Packing(f, g, "p")
+        assert _use_kronecker(f, g, packing, 7)
+        assert resultant(f, g, "p") == kronecker(f, g, "p")
 
 
 class TestRendering:
