@@ -49,25 +49,20 @@ from .ring import (
     zero,
 )
 from .weblab import (
-    AffineLine,
-    DegenerateSampleError,
     ImplicitWeb,
     WebReport,
     discriminant_locus,
     end_to_end_check,
     is_invariant,
     polar_curve,
-    tangency_with_line,
     web_degree,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineLine",
     "Certification",
     "CharNumbers",
-    "DegenerateSampleError",
     "DegreeBounds",
     "ImplicitWeb",
     "InequalityEntry",
@@ -103,7 +98,6 @@ __all__ = [
     "polar_degree_web",
     "resultant",
     "smooth_hypersurface_char_numbers",
-    "tangency_with_line",
     "tautological_class",
     "twist_degree",
     "variables",

@@ -32,7 +32,7 @@ from .polar import (
     polar_degree_web,
 )
 from .ring import integrate
-from .weblab import DegenerateSampleError, ImplicitWeb, end_to_end_check
+from .weblab import ImplicitWeb, end_to_end_check
 
 _SAFE_INT = 2 ** 53
 
@@ -227,13 +227,10 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_web(args) -> int:
-    if args.format == "json" and args.seed is None:
-        raise ValueError("structured output of randomized runs requires an explicit --seed")
-    seed = args.seed if args.seed is not None else 0
     f = parse_poly_expr(args.f, {"x", "y", "p"})
     curve = parse_poly_expr(args.curve, {"x", "y"}) if args.curve else None
     web = ImplicitWeb(f)
-    report = end_to_end_check(web, curve, seed)
+    report = end_to_end_check(web, curve)
     if report.invariant is None:
         verdict = "OK"
     elif report.invariant:
@@ -243,7 +240,7 @@ def _cmd_web(args) -> int:
     inputs = {"f": args.f, "n": 2}
     if args.curve:
         inputs["curve"] = args.curve
-    record = _record("web", inputs, report.to_dict(), verdict, seed)
+    record = _record("web", inputs, report.to_dict(), verdict, args.seed)
     lines = [
         f"k: {report.k}",
         f"degree: {report.degree}",
@@ -338,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     web = sub.add_parser("web", help="measure an implicit plane web geometrically")
     web.add_argument("--f", required=True, help="web polynomial F(x, y, p)")
     web.add_argument("--curve", default=None, help="candidate invariant curve C(x, y)")
-    web.add_argument("--seed", type=int, default=None)
+    web.add_argument("--seed", type=int, default=None,
+                     help="echoed in the record; the lab draws no samples")
     _add_format(web)
     web.set_defaults(handler=_cmd_web)
 
@@ -356,7 +354,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"webpolar: parse error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, DegenerateSampleError) as exc:
+    except ValueError as exc:
         print(f"webpolar: error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,22 +3,24 @@
 A k-web of the projective plane is presented in an affine chart by an
 integer polynomial F(x, y, p), p standing for the slope dy/dx: through a
 generic point pass the k curve branches whose slopes are the p-roots of F.
-This module measures the web's characteristic numbers directly from such
-tangency geometry (degree via restriction to random lines, counted
-projectively as the degree of the affine restriction plus the order of
-tangency at the line's point at infinity; the first polar locus via slope
-elimination), so the abstract two-term degree formulas can be checked
-against actual loci.
-
-All arithmetic is exact; randomness only picks lines and points, every draw
-is reproducible from a seed, and each measurement is accepted only when two
-independent generic samples agree.
+This module measures the web's characteristic numbers exactly from such
+tangency geometry, so the abstract two-term degree formulas can be checked
+against actual loci: the degree is the tangency count with a symbolic
+generic line, whose tangencies are all affine, and the first polar locus
+through a symbolic generic point comes from eliminating the slope against
+the pencil of lines through that point.  The symbols live in the spare
+variable slots of ``MultiPoly``; nothing is sampled and no measurement
+depends on a seed.  Sampled lines and points stay as independent
+references for the tests: ``tangency_with_line`` counts projectively, as
+the degree of the affine restriction plus the order of tangency at the
+line's point at infinity, which a particular line can have.
 
 Validation certifies square-freeness one-sidedly: a nonzero univariate
 discriminant at a fixed integer point (CERTIFICATE_POINTS, independent of
 any seed) proves it, and only otherwise is the symbolic discriminant
 Res_p(F, F_p) computed.  That resultant is cached on the web
 (``ImplicitWeb.discriminant``), so ``discriminant_locus`` reuses it.
+Slope degrees above MAX_SLOPE_DEGREE are refused before any of this.
 """
 
 from __future__ import annotations
@@ -27,14 +29,17 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .multipoly import MultiPoly, _integer_resultant, resultant
+from .multipoly import MultiPoly, _integer_resultant, resultant, variables
 
 COEFFICIENT_SPAN = 999  # random integer samples are drawn from [-999, 999]
-MAX_RETRIES = 8
+# the square-freeness certificate is a (2k-1)-square integer determinant:
+# for p^k - x it took 0.3 s at k = 100, 2.9 s at k = 200 and 13 s at k = 320
+# (CPython 3.11, one core of a shared 2-vCPU host)
+MAX_SLOPE_DEGREE = 100
 
 
 class DegenerateSampleError(RuntimeError):
-    """A random line or point fell on the bad locus; retry with another."""
+    """A sampled line or point fell on the bad locus."""
 
 
 @dataclass(frozen=True)
@@ -63,6 +68,11 @@ class ImplicitWeb:
             raise ValueError("web polynomials may use only the variables x, y and p")
         if f.degree("p") < 1:
             raise ValueError("web polynomial is constant in the slope variable p")
+        if f.degree("p") > MAX_SLOPE_DEGREE:
+            raise ValueError(
+                f"web polynomial has degree {f.degree('p')} in the slope variable p, "
+                f"more than {MAX_SLOPE_DEGREE}"
+            )
         self.f = f
         if not self._certified_square_free() and self.discriminant.is_zero:
             raise ValueError("web polynomial is not square-free in the slope variable p")
@@ -182,44 +192,54 @@ def sample_point(seed: int, index: int) -> tuple[int, int]:
             rng.randint(-COEFFICIENT_SPAN, COEFFICIENT_SPAN))
 
 
-def web_degree(web: ImplicitWeb, seed: int = 0) -> int:
-    """Degree of the web: tangency count with a generic line.
+def web_degree(web: ImplicitWeb) -> int:
+    """Degree of the web: tangency count with a symbolic generic line.
 
-    Random integer lines miss the bad locus with overwhelming probability;
-    the value is accepted once two valid samples in a row agree, and at most
-    MAX_RETRIES lines are drawn.
+    The line y = a*x + b has slope a, so its affine restriction is
+    F(x, a*x + b, a), with a and b in the y and p slots; its x-degree is the
+    count.  Nothing is lost at infinity: the generic line meets the line at
+    infinity at a generic point and is not tangent there, since in the chart
+    at infinity its restriction at u = 0 is that chart at u = 0, which
+    saturation leaves nonzero.  The substitution is an invertible change of
+    variables, so the restriction never vanishes.
     """
-    previous = None
-    for index in range(MAX_RETRIES):
-        try:
-            value = tangency_with_line(web, sample_line(seed, index))
-        except DegenerateSampleError:
-            continue
-        if previous is not None and value == previous:
-            return value
-        previous = value
-    raise DegenerateSampleError(
-        f"no two agreeing tangency counts within {MAX_RETRIES} sampled lines"
+    x, y, p = variables("x", "y", "p")
+    return web.f.substitute(y=y * x + p, p=y).degree("x")
+
+
+def _clear_slope(coefficients: list[MultiPoly], c1: MultiPoly, c0: MultiPoly) -> MultiPoly:
+    """sum_i a_i * (-c0)^i * c1^(k-i): F at the slope p = -c0/c1, times c1^k.
+
+    Up to the sign (-1)^k this is Res_p(F, c1*p + c0), the resultant of F
+    against a polynomial linear in p.
+    """
+    k = len(coefficients) - 1
+    return MultiPoly.sum(
+        a_i * (-c0) ** i * c1 ** (k - i)
+        for i, a_i in enumerate(coefficients)
+        if not a_i.is_zero
     )
 
 
-def polar_curve(web: ImplicitWeb, z: tuple[int, int]) -> MultiPoly:
+def polar_curve(web: ImplicitWeb, z: tuple) -> MultiPoly:
     """Locus of points whose web tangent passes through z = (z1, z2).
 
     A tangent of slope p at (x, y) hits z exactly when
-    (y - z2) - p*(x - z1) = 0, so eliminating p against F cuts the curve.
-    The integer content of the resultant is stripped, since only the curve
-    matters, and its total degree must come out as k + deg(web).
+    (y - z2) - p*(x - z1) = 0, so eliminating p against F cuts the curve:
+    Res_p(F, c1*p + c0) = (-1)^k * _clear_slope(F, c1, c0) with c1 = z1 - x
+    and c0 = y - z2.  The coordinates of z are integers, or polynomials in
+    the t and u slots for a symbolic generic point.  The integer content is
+    stripped, since only the curve matters, and its degree in x and y must
+    come out as k + deg(web).  Raises DegenerateSampleError when an integer
+    z has a pencil sharing a component with the web; a symbolic z = (t, u)
+    never does, since a_k * u^k is the only term of u-degree k.
     """
     z1, z2 = z
-    x = MultiPoly.variable("x")
-    y = MultiPoly.variable("y")
-    p = MultiPoly.variable("p")
-    pencil = (y - z2) - p * (x - z1)
-    res = resultant(web.f, pencil, "p")
+    x, y = variables("x", "y")
+    res = _clear_slope(web.f.coefficient_list("p"), z1 - x, y - z2)
     if res.is_zero:
         raise DegenerateSampleError(f"pencil through {z} shares a component with the web")
-    return res.primitive_part()
+    return (-res if web.k % 2 else res).primitive_part()
 
 
 def discriminant_locus(web: ImplicitWeb) -> MultiPoly:
@@ -238,14 +258,7 @@ def _invariance_core(p_coefficients: list[MultiPoly], curve: MultiPoly) -> bool:
     exactly when C divides sum_i A_i * (-C_x)^i * C_y^(k-i), the cleared
     numerator of F evaluated along the curve.
     """
-    c_x = curve.derivative("x")
-    c_y = curve.derivative("y")
-    k = len(p_coefficients) - 1
-    cleared = MultiPoly.sum(
-        a_i * (-c_x) ** i * c_y ** (k - i)
-        for i, a_i in enumerate(p_coefficients)
-        if not a_i.is_zero
-    )
+    cleared = _clear_slope(p_coefficients, curve.derivative("y"), curve.derivative("x"))
     if cleared.is_zero:
         return True
     return curve.primitive_part().divides(cleared)
@@ -303,26 +316,16 @@ class WebReport:
         return out
 
 
-def end_to_end_check(
-    web: ImplicitWeb, curve: MultiPoly | None = None, seed: int = 0
-) -> WebReport:
+def end_to_end_check(web: ImplicitWeb, curve: MultiPoly | None = None) -> WebReport:
     """Measure (d_0, d_1) geometrically, verify the polar degree, and, when a
     curve is supplied, decide invariance and check the degree bound
     deg C <= k + deg(web) + 1 (meaningful when the curve's projective
-    closure is smooth, which the caller asserts)."""
+    closure is smooth, which the caller asserts).  The polar degree is the
+    degree in x and y of the polar curve through a symbolic generic point."""
     k = web.k
-    degree = web_degree(web, seed)
-    polar_deg = None
-    for index in range(MAX_RETRIES):
-        try:
-            polar_deg = polar_curve(web, sample_point(seed, index)).total_degree()
-            break
-        except DegenerateSampleError:
-            continue
-    if polar_deg is None:
-        raise DegenerateSampleError(
-            f"no generic pencil point within {MAX_RETRIES} samples"
-        )
+    degree = web_degree(web)
+    generic_polar = polar_curve(web, variables("t", "u"))
+    polar_deg = max(exps[0] + exps[1] for exps in generic_polar.terms())
     bound = k + degree + 1
     curve_fields = {}
     if curve is not None:

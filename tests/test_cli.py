@@ -214,11 +214,18 @@ class TestVerdictsAndExitCodes:
         assert out == ""
         assert err.startswith("webpolar: error:") and "Traceback" not in err
 
-    def test_degenerate_sample_exits_one(self, capsys):
+    def test_slope_degree_past_the_cap_exits_one(self, capsys):
+        code, out, err = run(capsys, "web", "--f", "p^1000 - x", "--seed", "1")
+        assert (code, out) == (1, "")
+        assert err == ("webpolar: error: web polynomial has degree 1000 in the slope "
+                       "variable p, more than 100\n")
+
+    def test_degenerate_sample_propagates(self, capsys):
+        # the lab draws no samples, so a DegenerateSampleError is a bug
         with mock.patch.object(cli, "end_to_end_check",
                                side_effect=DegenerateSampleError("no generic line")):
-            code, out, err = run(capsys, "web", "--f", "p^2 - x", "--seed", "1")
-        assert (code, out, err) == (1, "", "webpolar: error: no generic line\n")
+            with pytest.raises(DegenerateSampleError, match="no generic line"):
+                main(["web", "--f", "p^2 - x", "--seed", "1"])
 
     def test_internal_failure_propagates(self, capsys):
         # consistency checks are RuntimeErrors: a bug, not a usage error
@@ -284,10 +291,21 @@ class TestExitContract:
 
 
 class TestSeedHandling:
-    def test_json_web_requires_seed(self, capsys):
-        code, _, err = run(capsys, "web", "--f", "p^2 - x", "--format", "json")
-        assert code == 1
-        assert "--seed" in err
+    def test_json_web_without_seed(self, capsys):
+        code, out, _ = run(capsys, "web", "--f", "p^2 - x", "--format", "json")
+        assert code == 0
+        record = json.loads(out)
+        golden = json.loads((GOLDEN / "web_plain.json").read_text())
+        assert record["results"] == golden["results"]
+        assert record["seed"] is None
+
+    def test_seed_does_not_change_results(self, capsys):
+        results = []
+        for seed in ("1", "2"):
+            _, out, _ = run(capsys, "web", "--f", "p^2 - y", "--curve", "4*y - x^2",
+                            "--seed", seed, "--format", "json")
+            results.append(json.loads(out)["results"])
+        assert results[0] == results[1]
 
     def test_text_web_defaults_seed(self, capsys):
         code, out, _ = run(capsys, "web", "--f", "p^2 - x")
