@@ -23,7 +23,7 @@ from .classes import (
     web_char_integrals,
     web_class,
 )
-from .exprparse import ParseError, parse_expr, parse_poly_expr, parse_ring_expr
+from .exprparse import ParseError, parse_poly_expr, parse_ring_expr
 from .multipoly import MultiPoly, resultant, variables
 from .polar import (
     Certification,
@@ -89,7 +89,6 @@ __all__ = [
     "is_invariant",
     "monomial",
     "one",
-    "parse_expr",
     "parse_poly_expr",
     "parse_ring_expr",
     "pencil_class",

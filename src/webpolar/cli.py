@@ -228,7 +228,7 @@ def _cmd_bound(args) -> int:
 
 def _cmd_web(args) -> int:
     f = parse_poly_expr(args.f, {"x", "y", "p"})
-    curve = parse_poly_expr(args.curve, {"x", "y"}) if args.curve else None
+    curve = parse_poly_expr(args.curve, {"x", "y"}) if args.curve is not None else None
     web = ImplicitWeb(f)
     report = end_to_end_check(web, curve)
     if report.invariant is None:
@@ -238,7 +238,7 @@ def _cmd_web(args) -> int:
     else:
         verdict = Verdict.NOT_INVARIANT.value
     inputs = {"f": args.f, "n": 2}
-    if args.curve:
+    if args.curve is not None:
         inputs["curve"] = args.curve
     record = _record("web", inputs, report.to_dict(), verdict, args.seed)
     lines = [

@@ -1,4 +1,4 @@
-"""Recursive-descent parser for the calculator's polynomial expressions.
+"""One-pass reader for the calculator's polynomial expressions.
 
 Grammar (ASCII, explicit '*', '^' for powers, no implicit multiplication):
 
@@ -7,17 +7,29 @@ Grammar (ASCII, explicit '*', '^' for powers, no implicit multiplication):
     factor := base ('^' uint)?
     base   := int | var | '(' expr ')'
 
-Ring expressions use the variables h and c (c standing in for the dual
-hyperplane class, which has no keyboard spelling); web polynomials use
-x, y and p.  Every printed canonical form re-parses to the same value.
+The lexer is ASCII: an integer is [0-9]+, a name [A-Za-z_][A-Za-z0-9_]*,
+and any other character that is not whitespace (``str.isspace``) is an
+error with its line and column, so a superscript or non-Latin digit is
+refused rather than read as a number.  Ring expressions use the variables
+h and c (c standing in for the dual hyperplane class, which has no keyboard
+spelling); web polynomials use x, y and p.  Every printed canonical form
+re-parses to the same value.
 
-Inputs come from the command line, so the parser bounds what it accepts
+The reader evaluates while it parses.  A product of literals and variable
+powers stays one (exponent vector, coefficient) pair, and a sum adds its
+terms into one map from exponent vectors to coefficients; only
+parenthesised groups and their powers go through the ring's arithmetic.
+One compiled regex splits the input in one linear scan.  Whitespace is
+skipped between its matches, never matched by a '\\s*' prefix, which would
+backtrack quadratically on a long run of blanks.
+
+Inputs come from the command line, so the reader bounds what it accepts
 (each check costs O(1) per token) and raises ParseError beyond:
 
     MAX_SOURCE_LENGTH   characters of input
     MAX_LITERAL_DIGITS  digits of one integer literal, below CPython's
                         default 4300-digit limit on int/str conversion
-    MAX_NESTING_DEPTH   parentheses open at once; the parser recurses once
+    MAX_NESTING_DEPTH   parentheses open at once; the reader recurses once
                         per level, so this keeps it far from the
                         interpreter's recursion limit
     MAX_EXPONENT        value of an exponent after '^'
@@ -26,22 +38,34 @@ Inputs come from the command line, so the parser bounds what it accepts
                         product a * b, and prod_v (e * deg_v(a) + 1) for a
                         power a^e
 
-Long sums and products nest only to the left, and ``evaluate`` walks that
-spine in a loop, so their length is bounded by MAX_SOURCE_LENGTH alone.
-The expansion bound also bounds the work: a product takes T_a * T_b term
-pairs, and a power by squaring in x, y and p about MAX_EXPANDED_TERMS^2 / 64.
+A monomial factor has one term or none, and a power of a variable has at
+most MAX_EXPONENT + 1 terms, so only products and powers of groups can pass
+the expansion bound.  Errors come out as if the input were tokenized,
+parsed and evaluated in turn: a lexical error anywhere wins over a syntax
+error, and a syntax error anywhere over an expansion refusal.  Sums and
+products are read in loops, so their length is bounded by MAX_SOURCE_LENGTH
+alone.  The expansion bound also bounds the work: a product takes T_a * T_b
+term pairs, and a power by squaring in x, y and p about
+MAX_EXPANDED_TERMS^2 / 64.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import prod
+import re
+from itertools import islice
+from operator import add
 
 MAX_SOURCE_LENGTH = 100_000
 MAX_LITERAL_DIGITS = 4000
 MAX_NESTING_DEPTH = 100
 MAX_EXPONENT = 1000
 MAX_EXPANDED_TERMS = 10_000
+
+# one token per match: an integer, a name, or any other non-space character
+_TOKEN = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|\S")
+_DIGITS = frozenset("0123456789")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_OPERATORS = frozenset("+-*^()")
 
 
 class ParseError(ValueError):
@@ -53,263 +77,207 @@ class ParseError(ValueError):
         self.column = column
 
 
-# -- AST ---------------------------------------------------------------------
+def _lexical_error(token: str) -> str | None:
+    first = token[:1]
+    if first in _DIGITS:
+        if len(token) > MAX_LITERAL_DIGITS:
+            return f"integer literal longer than {MAX_LITERAL_DIGITS} digits"
+    elif first and first not in _NAME_START and token not in _OPERATORS:
+        return f"unexpected character {token!r}"
+    return None
 
 
-@dataclass(frozen=True)
-class Lit:
-    value: int
+class _Reader:
+    """Recursive descent over the tokens of ``source``, evaluating as it goes.
 
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: object
-
-
-@dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
-    position: tuple[int, int] = field(compare=False)  # line and column of the '*'
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
-    position: tuple[int, int] = field(compare=False)  # line and column of the '^'
-
-
-# -- lexer ---------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'int' | 'name' | 'op' | 'end'
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(source: str) -> list[_Token]:
-    if len(source) > MAX_SOURCE_LENGTH:
-        raise ParseError(f"input longer than {MAX_SOURCE_LENGTH} characters", 1, 1)
-    tokens = []
-    line, column = 1, 1
-    i = 0
-    while i < len(source):
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            column = 1
-            i += 1
-            continue
-        if ch.isspace():
-            column += 1
-            i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < len(source) and source[i].isdigit():
-                i += 1
-            text = source[start:i]
-            if len(text) > MAX_LITERAL_DIGITS:
-                raise ParseError(
-                    f"integer literal longer than {MAX_LITERAL_DIGITS} digits", line, column
-                )
-            tokens.append(_Token("int", text, line, column))
-            column += len(text)
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < len(source) and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            text = source[start:i]
-            tokens.append(_Token("name", text, line, column))
-            column += len(text)
-            continue
-        if ch in "+-*^()":
-            tokens.append(_Token("op", ch, line, column))
-            column += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, column)
-    tokens.append(_Token("end", "", line, column))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token], allowed: frozenset[str]):
-        self.tokens = tokens
-        self.pos = 0
-        self.allowed = allowed
-        self.depth = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def fail(self, message: str, token: _Token | None = None):
-        token = token or self.peek()
-        raise ParseError(message, token.line, token.column)
-
-    def expr(self):
-        if self.peek().kind == "op" and self.peek().text == "-":
-            self.advance()
-            node = Neg(self.term())
-        else:
-            node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            right = self.term()
-            node = Add(node, right) if op == "+" else Sub(node, right)
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek().kind == "op" and self.peek().text == "*":
-            star = self.advance()
-            node = Mul(node, self.factor(), (star.line, star.column))
-        return node
-
-    def factor(self):
-        node = self.base()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            caret = self.advance()
-            token = self.peek()
-            if token.kind != "int":
-                if token.kind == "op" and token.text == "-":
-                    self.fail("exponent must be a nonnegative integer", token)
-                self.fail("expected an integer exponent after '^'", token)
-            exponent = int(token.text)
-            if exponent > MAX_EXPONENT:
-                self.fail(f"exponent larger than {MAX_EXPONENT}", token)
-            self.advance()
-            node = Pow(node, exponent, (caret.line, caret.column))
-        return node
-
-    def base(self):
-        token = self.peek()
-        if token.kind == "int":
-            self.advance()
-            return Lit(int(token.text))
-        if token.kind == "name":
-            self.advance()
-            if token.text not in self.allowed:
-                expected = ", ".join(sorted(self.allowed))
-                self.fail(f"unknown variable {token.text!r} (expected one of: {expected})", token)
-            return Var(token.text)
-        if token.kind == "op" and token.text == "(":
-            if self.depth == MAX_NESTING_DEPTH:
-                self.fail(f"parentheses nested deeper than {MAX_NESTING_DEPTH}", token)
-            self.advance()
-            self.depth += 1
-            node = self.expr()
-            self.depth -= 1
-            closing = self.peek()
-            if closing.kind != "op" or closing.text != ")":
-                self.fail("expected ')'", closing)
-            self.advance()
-            return node
-        self.fail(f"expected a number, variable or '(', found {token.text or 'end of input'!r}")
-
-
-def parse_expr(source: str, allowed: frozenset[str] | set[str]):
-    """Parse to an AST, restricted to the given variable vocabulary."""
-    parser = _Parser(_tokenize(source), frozenset(allowed))
-    node = parser.expr()
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        parser.fail(f"unexpected {trailing.text!r} after expression", trailing)
-    return node
-
-
-def evaluate(node, env: dict, const, check=None):
-    """Fold an AST in any commutative ring given variable values and an
-    integer embedding.
-
-    ``check(node, left, right)``, when given, runs before every product
-    (``right`` its right operand) and power (``right`` the exponent) and
-    may refuse it by raising.
+    ``slots`` maps each variable to its place in exponent vectors of length
+    ``width``; ``make`` builds a ring element from a map of exponent vectors
+    to coefficients (zero coefficients allowed), and ``terms`` reads the map
+    of an element back.  ``capped`` turns on the MAX_EXPANDED_TERMS checks.
     """
-    if isinstance(node, (Add, Sub, Mul)):
-        # sums and products nest to the left: fold the spine in a loop, so
-        # that long inputs do not recurse once per term
-        spine = []
-        while isinstance(node, (Add, Sub, Mul)):
-            spine.append(node)
-            node = node.left
-        value = evaluate(node, env, const, check)
-        for op in reversed(spine):
-            right = evaluate(op.right, env, const, check)
-            if isinstance(op, Add):
-                value = value + right
-            elif isinstance(op, Sub):
-                value = value - right
+
+    def __init__(self, source: str, slots: dict, width: int, make, terms, capped: bool):
+        if len(source) > MAX_SOURCE_LENGTH:
+            raise ParseError(f"input longer than {MAX_SOURCE_LENGTH} characters", 1, 1)
+        self.source = source
+        self.tokens = _TOKEN.findall(source)
+        self.tokens.append("")  # end of input
+        self.index = 0
+        self.depth = 0
+        self.slots = slots
+        self.width = width
+        self.make = make
+        self.terms = terms
+        self.capped = capped
+        self.refused = None  # the first expansion refusal, raised after parsing
+
+    def read(self):
+        value = self.expr()
+        trailing = self.tokens[self.index]
+        if trailing:
+            self.fail(f"unexpected {trailing!r} after expression")
+        if self.refused is not None:
+            raise self.refused
+        return self.make(value)
+
+    def position(self, index: int) -> tuple[int, int]:
+        """Line and column of token ``index``; the end of input past the last."""
+        match = next(islice(_TOKEN.finditer(self.source), index, None), None)
+        offset = match.start() if match else len(self.source)
+        return self.source.count("\n", 0, offset) + 1, offset - self.source.rfind("\n", 0, offset)
+
+    def fail(self, message: str):
+        # every token before the current one was read, so the first lexical
+        # error, if any, lies here or later, and it comes first
+        for index in range(self.index, len(self.tokens)):
+            lexical = _lexical_error(self.tokens[index])
+            if lexical:
+                raise ParseError(lexical, *self.position(index))
+        raise ParseError(message, *self.position(self.index))
+
+    def allow(self, bound: int, index: int) -> bool:
+        """Whether a product or power of up to ``bound`` terms may be expanded.
+
+        The first refusal is kept and raised once the whole input has
+        parsed; after it nothing is expanded.
+        """
+        if self.refused is None and bound > MAX_EXPANDED_TERMS:
+            self.refused = ParseError(
+                f"expansion may reach {bound} terms, more than {MAX_EXPANDED_TERMS}",
+                *self.position(index),
+            )
+        return self.refused is None
+
+    def expr(self) -> dict:
+        tokens = self.tokens
+        out: dict = {}
+        sign = 1
+        if tokens[self.index] == "-":
+            self.index += 1
+            sign = -1
+        while True:
+            self.term(sign, out)
+            op = tokens[self.index]
+            if op == "+":
+                sign = 1
+            elif op == "-":
+                sign = -1
             else:
-                if check is not None:
-                    check(op, value, right)
-                value = value * right
-        return value
-    if isinstance(node, Lit):
-        return const(node.value)
-    if isinstance(node, Var):
-        return env[node.name]
-    if isinstance(node, Neg):
-        return -evaluate(node.operand, env, const, check)
-    if isinstance(node, Pow):
-        base = evaluate(node.base, env, const, check)
-        if check is not None:
-            check(node, base, node.exponent)
-        return base ** node.exponent
-    raise TypeError(f"not an expression node: {node!r}")
+                return out
+            self.index += 1
+
+    def term(self, coeff: int, out: dict):
+        """Read a product and add it, times ``coeff``, into the map ``out``."""
+        tokens = self.tokens
+        exps = [0] * self.width
+        poly = None  # product of the groups read so far
+        count = 1  # terms of the whole product so far
+        star = None  # index of the '*' before the current factor
+        while True:
+            token = tokens[self.index]
+            slot = self.slots.get(token)
+            right = 1  # terms of the current factor
+            if slot is not None:
+                self.index += 1
+                exponent = self.exponent()
+                exps[slot] += 1 if exponent is None else exponent
+            elif token[:1] in _DIGITS:
+                value = self.integer()
+                self.index += 1
+                exponent = self.exponent()
+                if exponent is not None:
+                    value **= exponent
+                coeff *= value
+                right = 1 if value else 0
+            elif token == "(":
+                group = self.group()
+                right = len(self.terms(group))
+            elif token[:1] in _NAME_START:
+                expected = ", ".join(sorted(self.slots))
+                self.fail(f"unknown variable {token!r} (expected one of: {expected})")
+            else:
+                self.fail(f"expected a number, variable or '(', found {token or 'end of input'!r}")
+            refused = star is not None and self.capped and not self.allow(count * right, star)
+            if token == "(" and not refused:
+                poly = group if poly is None else poly * group
+                count = len(self.terms(poly))
+            if not coeff:
+                count = 0
+            if tokens[self.index] != "*":
+                break
+            star = self.index
+            self.index += 1
+        key = tuple(exps)
+        if poly is None:
+            out[key] = out.get(key, 0) + coeff
+        elif coeff:
+            shifted = any(exps)
+            for e, c in self.terms(poly).items():
+                if shifted:
+                    e = tuple(map(add, e, key))
+                out[e] = out.get(e, 0) + coeff * c
+
+    def group(self):
+        """'(' expr ')' and an optional power, as a ring element."""
+        if self.depth == MAX_NESTING_DEPTH:
+            self.fail(f"parentheses nested deeper than {MAX_NESTING_DEPTH}")
+        self.index += 1
+        self.depth += 1
+        value = self.make(self.expr())
+        self.depth -= 1
+        if self.tokens[self.index] != ")":
+            self.fail("expected ')'")
+        self.index += 1
+        caret = self.index
+        exponent = self.exponent()
+        if exponent is None:
+            return value
+        if self.capped:
+            terms = self.terms(value)
+            bound = 1
+            for slot in self.slots.values():
+                bound *= exponent * max((e[slot] for e in terms), default=0) + 1
+            if not self.allow(bound, caret):
+                return value
+        return value ** exponent
+
+    def exponent(self) -> int | None:
+        """The exponent after a '^', or None when there is no '^'."""
+        if self.tokens[self.index] != "^":
+            return None
+        self.index += 1
+        token = self.tokens[self.index]
+        if token[:1] not in _DIGITS:
+            if token == "-":
+                self.fail("exponent must be a nonnegative integer")
+            self.fail("expected an integer exponent after '^'")
+        exponent = self.integer()
+        if exponent > MAX_EXPONENT:
+            self.fail(f"exponent larger than {MAX_EXPONENT}")
+        self.index += 1
+        return exponent
+
+    def integer(self) -> int:
+        """The value of the literal at the current token."""
+        token = self.tokens[self.index]
+        if len(token) > MAX_LITERAL_DIGITS:
+            self.fail(_lexical_error(token))
+        return int(token)
 
 
 def parse_ring_expr(source: str, n: int):
     """Parse and evaluate a ring expression in h and c."""
-    from .ring import RingElement, dual_hyperplane, hyperplane
+    from .ring import RingElement
 
-    node = parse_expr(source, {"h", "c"})
-    env = {"h": hyperplane(n), "c": dual_hyperplane(n)}
-    return evaluate(node, env, lambda v: RingElement(n, {(0, 0): v}))
+    return _Reader(
+        source, {"h": 0, "c": 1}, 2, lambda raw: RingElement(n, raw),
+        RingElement.coefficients, capped=False,
+    ).read()
 
 
 def parse_poly_expr(source: str, allowed: set[str]):
     """Parse and evaluate a polynomial expression over the given variables."""
-    from .multipoly import MultiPoly
+    from .multipoly import VARIABLES, MultiPoly, _var_index
 
-    def check_expansion(node, left, right):
-        if isinstance(node, Pow):
-            bound = prod(right * max(left.degree(name), 0) + 1 for name in allowed)
-        else:
-            bound = len(left.terms()) * len(right.terms())
-        if bound > MAX_EXPANDED_TERMS:
-            raise ParseError(
-                f"expansion may reach {bound} terms, more than {MAX_EXPANDED_TERMS}",
-                *node.position,
-            )
-
-    node = parse_expr(source, allowed)
-    env = {name: MultiPoly.variable(name) for name in allowed}
-    return evaluate(node, env, MultiPoly.const, check_expansion)
+    slots = {name: _var_index(name) for name in allowed}
+    return _Reader(source, slots, len(VARIABLES), MultiPoly, MultiPoly.terms, capped=True).read()

@@ -15,11 +15,12 @@ references for the tests: ``tangency_with_line`` counts projectively, as
 the degree of the affine restriction plus the order of tangency at the
 line's point at infinity, which a particular line can have.
 
-Validation certifies square-freeness one-sidedly: a nonzero univariate
-discriminant at a fixed integer point (CERTIFICATE_POINTS, independent of
-any seed) proves it, and only otherwise is the symbolic discriminant
-Res_p(F, F_p) computed.  That resultant is cached on the web
-(``ImplicitWeb.discriminant``), so ``discriminant_locus`` reuses it.
+Validation certifies square-freeness one-sidedly: a nonzero residue of
+the univariate discriminant at a fixed integer point (CERTIFICATE_POINTS,
+independent of any seed) modulo the word-size CERTIFICATE_PRIME proves it,
+and only otherwise is the symbolic discriminant Res_p(F, F_p) computed.
+That resultant is cached on the web (``ImplicitWeb.discriminant``), so
+``discriminant_locus`` reuses it.
 Slope degrees above MAX_SLOPE_DEGREE are refused before any of this.
 """
 
@@ -29,13 +30,17 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .multipoly import MultiPoly, _integer_resultant, resultant, variables
+from .multipoly import MultiPoly, resultant, variables
 
 COEFFICIENT_SPAN = 999  # random integer samples are drawn from [-999, 999]
-# the square-freeness certificate is a (2k-1)-square integer determinant:
-# for p^k - x it took 0.3 s at k = 100, 2.9 s at k = 200 and 13 s at k = 320
-# (CPython 3.11, one core of a shared 2-vCPU host)
+# the square-freeness certificate costs O(k^2) word-size operations: on dense
+# p-polynomials it took 6 ms at k = 100, 21 ms at k = 200 and 55 ms at
+# k = 320, and `web --f "x^100*p^100 - y"` runs in 0.14 s end to end (CPython
+# 3.11, one core of a shared 2-vCPU host); the cap bounds the stages after
+# it, the polar curve and the symbolic fallback, which grow faster in k
 MAX_SLOPE_DEGREE = 100
+# a prime above MAX_SLOPE_DEGREE, so k * a_k is a unit wherever a_k is
+CERTIFICATE_PRIME = (1 << 61) - 1
 
 
 class DegenerateSampleError(RuntimeError):
@@ -81,24 +86,30 @@ class ImplicitWeb:
         """True proves F square-free in p; False proves nothing.
 
         At a point (x0, y0) where the leading p-coefficient of F does not
-        vanish, specialisation keeps the p-degrees of F and F_p, so the
-        univariate Res_p(F(x0, y0, p), F_p(x0, y0, p)) is the value of the
-        symbolic discriminant there, and a nonzero value shows that the
-        discriminant is a nonzero polynomial.  A nonzero discriminant of
-        total degree D vanishes on at most a D / 1999 share of the sampling
-        box (Schwartz-Zippel), so for square-free input the symbolic
-        fallback is rare.
+        vanish modulo the prime q = CERTIFICATE_PRIME, specialisation and
+        reduction keep the p-degrees of F and F_p (q > k), so the univariate
+        Res_p(F(x0, y0, p), F_p(x0, y0, p)) mod q is the residue of the
+        symbolic discriminant's value there, and a nonzero residue shows
+        that the discriminant is a nonzero polynomial.  A point where the
+        leading coefficient vanishes mod q is skipped.  The residue costs
+        O(k^2) word-size operations, whatever the size of the coefficients.
+        A nonzero discriminant of total degree D vanishes on at most a
+        D / 1999 share of the sampling box (Schwartz-Zippel), and a nonzero
+        value is divisible by q rarely, so for square-free input the
+        symbolic fallback is rare.
         """
         k = self.k
+        q = CERTIFICATE_PRIME
         terms = self.f.terms().items()
         for x0, y0 in CERTIFICATE_POINTS:
             specialised = [0] * (k + 1)
             for exps, coeff in terms:
-                specialised[exps[2]] += coeff * x0 ** exps[0] * y0 ** exps[1]
+                specialised[exps[2]] += coeff * pow(x0, exps[0], q) * pow(y0, exps[1], q)
+            specialised = [c % q for c in specialised]
             if not specialised[k]:
                 continue
-            derivative = [i * c for i, c in enumerate(specialised)]
-            if _integer_resultant(specialised[::-1], derivative[:0:-1]):
+            derivative = [i * c % q for i, c in enumerate(specialised)]
+            if _resultant_mod(specialised[::-1], derivative[:0:-1], q):
                 return True
         return False
 
@@ -134,6 +145,36 @@ class ImplicitWeb:
         if saturation > 0:
             out = out.exact_div(u ** saturation)
         return out
+
+
+def _resultant_mod(f: list[int], g: list[int], q: int) -> int:
+    """Res(f, g) mod the prime q by the Euclidean remainder sequence over F_q.
+
+    f and g are coefficient lists in descending degree order, reduced mod q,
+    with nonzero leading coefficients and deg f >= deg g.  With r = f mod g
+    of degree d, Res(f, g) = (-1)^(deg f * deg g) * lc(g)^(deg f - d) *
+    Res(g, r); Res(f, c) = c^(deg f) for a constant c, and Res(g, 0) = 0.
+    """
+    result = 1
+    while len(g) > 1:
+        m, n = len(f) - 1, len(g) - 1
+        inverse = pow(g[0], -1, q)
+        r = f[:]
+        for i in range(m - n + 1):
+            factor = r[i] * inverse % q
+            if factor:
+                for j in range(1, n + 1):
+                    r[i + j] = (r[i + j] - factor * g[j]) % q
+        r = r[m - n + 1:]
+        lead = next((i for i, c in enumerate(r) if c), None)
+        if lead is None:
+            return 0
+        r = r[lead:]
+        if m * n % 2:
+            result = -result
+        result = result * pow(g[0], m - (len(r) - 1), q) % q
+        f, g = g, r
+    return result * pow(g[0], len(f) - 1, q) % q
 
 
 def restriction_to_line(web: ImplicitWeb, line: AffineLine) -> MultiPoly:

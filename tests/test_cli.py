@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import webpolar
 import webpolar.cli as cli
 from webpolar.cli import main
+from webpolar.exprparse import MAX_SOURCE_LENGTH
 from webpolar.weblab import DegenerateSampleError
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -197,6 +198,19 @@ class TestVerdictsAndExitCodes:
         assert err == ("webpolar: parse error: line 1, column 8: expansion may reach "
                        "8120601 terms, more than 10000\n")
 
+    def test_empty_curve_exits_one(self, capsys):
+        # as --f "" does: an explicit empty curve is a parse error, not "no curve"
+        code, out, err = run(capsys, "web", "--f", "p^2 - x", "--curve", "", "--seed", "1")
+        assert (code, out) == (1, "")
+        assert err == ("webpolar: parse error: line 1, column 1: expected a number, "
+                       "variable or '(', found 'end of input'\n")
+
+    @pytest.mark.parametrize("f", ["x^\u00b2 - p", "x^\u0663 - p"], ids=["superscript", "arabic-indic"])
+    def test_non_ascii_digit_exits_one(self, capsys, f):
+        code, out, err = run(capsys, "web", "--f", f, "--seed", "1")
+        assert (code, out) == (1, "")
+        assert err == f"webpolar: parse error: line 1, column 3: unexpected character {f[2]!r}\n"
+
     def test_constant_web_polynomial_rejected(self, capsys):
         code, _, err = run(capsys, "web", "--f", "5", "--seed", "1")
         assert code == 1
@@ -233,6 +247,35 @@ class TestVerdictsAndExitCodes:
                                side_effect=RuntimeError("consistency check failed")):
             with pytest.raises(RuntimeError, match="consistency check failed"):
                 main(["ring", "--n", "2", "h"])
+
+
+def _padded(text, pad=" "):
+    return text + pad * (MAX_SOURCE_LENGTH - len(text))
+
+
+# the parser's worst cases at the length limit, each a fresh process
+_LONGEST_INPUTS = {
+    "trailing-blanks": _padded("x*p - y"),
+    "newlines": _padded("x*p - y", "\n"),
+    "long-sum": _padded("x*p+" * 24_999 + "y"),
+    "nesting": _padded("(" * 100 + "x*p - y" + ")" * 100),
+    "literal": _padded("9" * 4000 + "*x*p - y"),
+}
+
+
+class TestLongestInputs:
+    @pytest.mark.parametrize("f", _LONGEST_INPUTS.values(), ids=_LONGEST_INPUTS.keys())
+    def test_answers_promptly(self, f):
+        # a scanner that backtracks (say, a '\s*' prefix on every token) runs
+        # for minutes on the blank runs; the timeout turns that into a failure
+        assert len(f) == MAX_SOURCE_LENGTH
+        env = dict(os.environ, PYTHONPATH=str(Path(webpolar.__file__).parent.parent))
+        completed = subprocess.run(
+            [sys.executable, "-m", "webpolar", "web", "--f", f, "--seed", "1"],
+            capture_output=True, text=True, env=env, timeout=20,
+        )
+        assert completed.returncode in (0, 1)
+        assert len(completed.stderr.splitlines()) <= 1
 
 
 _SMALL = st.integers(-2, 6).map(str)

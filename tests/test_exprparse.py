@@ -1,8 +1,18 @@
-"""Grammar, error positions, and print/parse round trips."""
+"""Grammar, error positions, and print/parse round trips.
+
+The one-pass reader is compared with the tokenizer, AST and evaluator it
+replaced, kept below as the reference (with the ASCII lexer the grammar
+promises): values must agree, and on malformed input so must the
+ParseError's message, line and column.
+"""
 
 import random
+from dataclasses import dataclass, field
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from webpolar.exprparse import (
     MAX_EXPANDED_TERMS,
@@ -11,14 +21,308 @@ from webpolar.exprparse import (
     MAX_NESTING_DEPTH,
     MAX_SOURCE_LENGTH,
     ParseError,
-    parse_expr,
     parse_poly_expr,
     parse_ring_expr,
 )
-from webpolar.multipoly import MultiPoly, variables
-from webpolar.ring import RingElement, dual_hyperplane, hyperplane
+from webpolar.multipoly import VARIABLES, MultiPoly, variables
+from webpolar.ring import RingElement, dual_hyperplane, hyperplane, zero
 
 X, Y, P = variables("x", "y", "p")
+
+# -- reference: tokenize, parse to an AST, then evaluate ---------------------------
+
+
+@dataclass(frozen=True)
+class Lit:
+    value: int
+
+
+@dataclass(frozen=True)
+class Var:
+    name: str
+
+
+@dataclass(frozen=True)
+class Neg:
+    operand: object
+
+
+@dataclass(frozen=True)
+class Add:
+    left: object
+    right: object
+
+
+@dataclass(frozen=True)
+class Sub:
+    left: object
+    right: object
+
+
+@dataclass(frozen=True)
+class Mul:
+    left: object
+    right: object
+    position: tuple[int, int] = field(compare=False)  # line and column of the '*'
+
+
+@dataclass(frozen=True)
+class Pow:
+    base: object
+    exponent: int
+    position: tuple[int, int] = field(compare=False)  # line and column of the '^'
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # 'int' | 'name' | 'op' | 'end'
+    text: str
+    line: int
+    column: int
+
+
+def _is_name_char(ch: str) -> bool:
+    return ch.isascii() and (ch.isalnum() or ch == "_")
+
+
+def _tokenize(source: str) -> list[_Token]:
+    if len(source) > MAX_SOURCE_LENGTH:
+        raise ParseError(f"input longer than {MAX_SOURCE_LENGTH} characters", 1, 1)
+    tokens = []
+    line, column = 1, 1
+    i = 0
+    while i < len(source):
+        ch = source[i]
+        if ch == "\n":
+            line += 1
+            column = 1
+            i += 1
+            continue
+        if ch.isspace():
+            column += 1
+            i += 1
+            continue
+        if ch in "0123456789":
+            start = i
+            while i < len(source) and source[i] in "0123456789":
+                i += 1
+            text = source[start:i]
+            if len(text) > MAX_LITERAL_DIGITS:
+                raise ParseError(
+                    f"integer literal longer than {MAX_LITERAL_DIGITS} digits", line, column
+                )
+            tokens.append(_Token("int", text, line, column))
+            column += len(text)
+            continue
+        if ch.isascii() and (ch.isalpha() or ch == "_"):
+            start = i
+            while i < len(source) and _is_name_char(source[i]):
+                i += 1
+            text = source[start:i]
+            tokens.append(_Token("name", text, line, column))
+            column += len(text)
+            continue
+        if ch in "+-*^()":
+            tokens.append(_Token("op", ch, line, column))
+            column += 1
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, column)
+    tokens.append(_Token("end", "", line, column))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens: list[_Token], allowed: frozenset[str]):
+        self.tokens = tokens
+        self.pos = 0
+        self.allowed = allowed
+        self.depth = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def advance(self) -> _Token:
+        token = self.tokens[self.pos]
+        self.pos += 1
+        return token
+
+    def fail(self, message: str, token: _Token | None = None):
+        token = token or self.peek()
+        raise ParseError(message, token.line, token.column)
+
+    def expr(self):
+        if self.peek().kind == "op" and self.peek().text == "-":
+            self.advance()
+            node = Neg(self.term())
+        else:
+            node = self.term()
+        while self.peek().kind == "op" and self.peek().text in "+-":
+            op = self.advance().text
+            right = self.term()
+            node = Add(node, right) if op == "+" else Sub(node, right)
+        return node
+
+    def term(self):
+        node = self.factor()
+        while self.peek().kind == "op" and self.peek().text == "*":
+            star = self.advance()
+            node = Mul(node, self.factor(), (star.line, star.column))
+        return node
+
+    def factor(self):
+        node = self.base()
+        if self.peek().kind == "op" and self.peek().text == "^":
+            caret = self.advance()
+            token = self.peek()
+            if token.kind != "int":
+                if token.kind == "op" and token.text == "-":
+                    self.fail("exponent must be a nonnegative integer", token)
+                self.fail("expected an integer exponent after '^'", token)
+            exponent = int(token.text)
+            if exponent > MAX_EXPONENT:
+                self.fail(f"exponent larger than {MAX_EXPONENT}", token)
+            self.advance()
+            node = Pow(node, exponent, (caret.line, caret.column))
+        return node
+
+    def base(self):
+        token = self.peek()
+        if token.kind == "int":
+            self.advance()
+            return Lit(int(token.text))
+        if token.kind == "name":
+            self.advance()
+            if token.text not in self.allowed:
+                expected = ", ".join(sorted(self.allowed))
+                self.fail(f"unknown variable {token.text!r} (expected one of: {expected})", token)
+            return Var(token.text)
+        if token.kind == "op" and token.text == "(":
+            if self.depth == MAX_NESTING_DEPTH:
+                self.fail(f"parentheses nested deeper than {MAX_NESTING_DEPTH}", token)
+            self.advance()
+            self.depth += 1
+            node = self.expr()
+            self.depth -= 1
+            closing = self.peek()
+            if closing.kind != "op" or closing.text != ")":
+                self.fail("expected ')'", closing)
+            self.advance()
+            return node
+        self.fail(f"expected a number, variable or '(', found {token.text or 'end of input'!r}")
+
+
+def parse_expr(source: str, allowed):
+    parser = _Parser(_tokenize(source), frozenset(allowed))
+    node = parser.expr()
+    trailing = parser.peek()
+    if trailing.kind != "end":
+        parser.fail(f"unexpected {trailing.text!r} after expression", trailing)
+    return node
+
+
+def evaluate(node, env: dict, const, check=None):
+    """Fold an AST given variable values and an integer embedding; ``check``
+    runs before every product and power and may refuse it by raising."""
+    if isinstance(node, (Add, Sub, Mul)):
+        spine = []
+        while isinstance(node, (Add, Sub, Mul)):
+            spine.append(node)
+            node = node.left
+        value = evaluate(node, env, const, check)
+        for op in reversed(spine):
+            right = evaluate(op.right, env, const, check)
+            if isinstance(op, Add):
+                value = value + right
+            elif isinstance(op, Sub):
+                value = value - right
+            else:
+                if check is not None:
+                    check(op, value, right)
+                value = value * right
+        return value
+    if isinstance(node, Lit):
+        return const(node.value)
+    if isinstance(node, Var):
+        return env[node.name]
+    if isinstance(node, Neg):
+        return -evaluate(node.operand, env, const, check)
+    if isinstance(node, Pow):
+        base = evaluate(node.base, env, const, check)
+        if check is not None:
+            check(node, base, node.exponent)
+        return base ** node.exponent
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def reference_ring_expr(source: str, n: int):
+    node = parse_expr(source, {"h", "c"})
+    env = {"h": hyperplane(n), "c": dual_hyperplane(n)}
+    return evaluate(node, env, lambda v: RingElement(n, {(0, 0): v}))
+
+
+def reference_poly_expr(source: str, allowed: set[str]):
+    def check_expansion(node, left, right):
+        if isinstance(node, Pow):
+            bound = prod(right * max(left.degree(name), 0) + 1 for name in allowed)
+        else:
+            bound = len(left.terms()) * len(right.terms())
+        if bound > MAX_EXPANDED_TERMS:
+            raise ParseError(
+                f"expansion may reach {bound} terms, more than {MAX_EXPANDED_TERMS}",
+                *node.position,
+            )
+
+    node = parse_expr(source, allowed)
+    env = {name: MultiPoly.variable(name) for name in allowed}
+    return evaluate(node, env, MultiPoly.const, check_expansion)
+
+
+def outcome(parse, *args):
+    """The value, or the ParseError's message, line and column."""
+    try:
+        return parse(*args)
+    except ParseError as err:
+        return str(err), err.line, err.column
+
+
+def random_expression(rng: random.Random, names: list[str], depth: int = 4) -> str:
+    """A random expression tree over ``names``: parentheses, powers, unary
+    minus, products of sums and zero literals, at most a few hundred terms."""
+    if depth == 0 or rng.random() < 0.3:
+        leaf = rng.choice(names + ["0", "1", "2", "3", "12"])
+        return f"{leaf}^{rng.randint(0, 3)}" if rng.random() < 0.3 else leaf
+    left = random_expression(rng, names, depth - 1)
+    right = random_expression(rng, names, depth - 1)
+    shape = rng.randrange(5)
+    if shape == 0:
+        return left + rng.choice(["+", " - ", "*", " * "]) + right
+    if shape == 1:
+        return f"({left})*({right})"
+    if shape == 2:
+        return f"({left})^{rng.randint(0, 3)}"
+    if shape == 3:
+        return f"(-{left})"
+    return f"(-{left} + {right})"
+
+
+_MUTATION_ALPHABET = "xyphc_a09+-*^() \n\t$\u00b2\u0663\u00e9\u00a0"
+
+
+def mutate(rng: random.Random, source: str) -> str:
+    """One to three random single-character edits."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(source))
+        ch = rng.choice(_MUTATION_ALPHABET)
+        source = rng.choice([
+            source[:i] + ch + source[i:],
+            source[:i] + source[i + 1:],
+            source[:i] + ch + source[i + 1:],
+        ])
+    return source
+
+
+_WEB = {"x", "y", "p"}
 
 
 class TestGrammar:
@@ -82,7 +386,68 @@ class TestErrors:
 
     def test_empty_input(self):
         with pytest.raises(ParseError):
-            parse_expr("", {"x"})
+            parse_poly_expr("", {"x"})
+
+    @pytest.mark.parametrize("source", ["x^\u00b2 - p", "x^\u0663 - p"], ids=["superscript", "arabic-indic"])
+    def test_non_ascii_digit_rejected(self, source):
+        # the lexer is ASCII: neither is read as an exponent
+        with pytest.raises(ParseError) as err:
+            parse_poly_expr(source, _WEB)
+        assert (err.value.line, err.value.column) == (1, 3)
+        assert f"unexpected character {source[2]!r}" in str(err.value)
+
+    def test_unicode_whitespace_separates(self):
+        assert parse_poly_expr("x\u00a0+\u2003y\r\n- p", _WEB) == X + Y - P
+
+    def test_lexical_error_comes_before_a_syntax_error(self):
+        with pytest.raises(ParseError) as err:
+            parse_poly_expr("x + + $", _WEB)
+        assert (str(err.value), err.value.column) == (
+            "line 1, column 7: unexpected character '$'", 7
+        )
+
+    def test_syntax_error_comes_before_an_expansion_refusal(self):
+        with pytest.raises(ParseError) as err:
+            parse_poly_expr("(x + y + p)^200 + )", _WEB)
+        assert "found ')'" in str(err.value)
+        assert err.value.column == 19
+
+
+class TestAgainstTheReference:
+    @settings(max_examples=300, deadline=None)
+    @given(rng=st.randoms(use_true_random=False))
+    def test_polynomial_values(self, rng):
+        source = rng.choice(["", "-"]) + random_expression(rng, ["x", "y", "p"])
+        assert parse_poly_expr(source, _WEB) == reference_poly_expr(source, _WEB)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rng=st.randoms(use_true_random=False), n=st.integers(1, 4))
+    def test_ring_values(self, rng, n):
+        source = rng.choice(["", "-"]) + random_expression(rng, ["h", "c"])
+        assert parse_ring_expr(source, n) == reference_ring_expr(source, n)
+
+    @settings(max_examples=500, deadline=None)
+    @given(rng=st.randoms(use_true_random=False))
+    def test_polynomial_errors(self, rng):
+        source = mutate(rng, random_expression(rng, ["x", "y", "p", "h"]))
+        assert outcome(parse_poly_expr, source, _WEB) == outcome(reference_poly_expr, source, _WEB)
+
+    @settings(max_examples=500, deadline=None)
+    @given(rng=st.randoms(use_true_random=False))
+    def test_ring_errors(self, rng):
+        source = mutate(rng, random_expression(rng, ["h", "c", "x"]))
+        assert outcome(parse_ring_expr, source, 3) == outcome(reference_ring_expr, source, 3)
+
+    @pytest.mark.parametrize("source", [
+        "(x + y + p)^200", "1 + (x+y+p)^20*(x+y+p)^2", "(x^100*y^100*p^100)^1",
+        "0*(x+y+p)^30*(x+y+p)^30", "(x+y+p)^30*0", "(x+y+p)^20*(x-x)*(x+y+p)^20",
+        "2*((x+1)^100*(y+1)^98 + p^2 + p^3)",  # a sum of 10,001 terms is not capped
+        "((x+1)^100*(y+1)^98 + p^2 + p^3)*0",
+        "(x+y+p)^30*(x+y+p)^30 + (x+y+p)^200",
+    ], ids=["power", "product", "power-one", "zero-first", "zero-last", "zero-group",
+            "long-group", "long-group-times-zero", "first-refusal"])
+    def test_expansion_refusals(self, source):
+        assert outcome(parse_poly_expr, source, _WEB) == outcome(reference_poly_expr, source, _WEB)
 
 
 class TestLimits:
@@ -145,6 +510,10 @@ class TestLimits:
     def test_ring_expressions_are_not_capped(self):
         assert parse_ring_expr("(h + c)^4", 2) == (hyperplane(2) + dual_hyperplane(2)) ** 4
 
+    def test_long_ring_product_folds_into_one_monomial(self):
+        # c^14000000 lies far above the top degree 2n - 1 = 31
+        assert parse_ring_expr("*".join(["c^1000"] * 14000), 16) == zero(16)
+
 
 class TestRoundTrip:
     def test_ring_elements(self):
@@ -171,6 +540,23 @@ class TestRoundTrip:
                     terms[exps] = value
             poly = MultiPoly(terms)
             assert parse_poly_expr(str(poly), {"x", "y", "p"}) == poly
+
+    @settings(max_examples=200, deadline=None)
+    @given(terms=st.dictionaries(
+        st.tuples(*[st.integers(0, 4)] * 5), st.integers(-10 ** 30, 10 ** 30), max_size=12,
+    ))
+    def test_any_polynomial(self, terms):
+        poly = MultiPoly(terms)
+        assert parse_poly_expr(str(poly), set(VARIABLES)) == poly
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 8), coeffs=st.dictionaries(
+        st.tuples(st.integers(0, 9), st.integers(0, 9)), st.integers(-10 ** 30, 10 ** 30),
+        max_size=12,
+    ))
+    def test_any_ring_element(self, n, coeffs):
+        element = RingElement(n, coeffs)
+        assert parse_ring_expr(str(element), n) == element
 
     def test_zero_round_trips(self):
         assert parse_poly_expr("0", {"x"}) == MultiPoly.zero()

@@ -17,9 +17,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import webpolar.weblab as weblab
-from webpolar.multipoly import MultiPoly, resultant, variables
+from webpolar.multipoly import MultiPoly, _integer_resultant, resultant, variables
 from webpolar.weblab import (
     CERTIFICATE_POINTS,
+    CERTIFICATE_PRIME,
     AffineLine,
     DegenerateSampleError,
     ImplicitWeb,
@@ -31,6 +32,7 @@ from webpolar.weblab import (
     sample_line,
     sample_point,
     tangency_with_line,
+    _resultant_mod,
     web_degree,
 )
 
@@ -52,6 +54,29 @@ UNCERTIFIABLE = (X - CERTIFICATE_POINTS[0][0]) * (X - CERTIFICATE_POINTS[1][0])
 
 def symbolic_discriminant(f):
     return resultant(f, f.derivative("p"), "p")
+
+
+def integer_certificate(f):
+    """The certificate the residue replaced: the exact univariate
+    Res_p(F(x0, y0, p), F_p(x0, y0, p)) at the certificate points."""
+    k = f.degree("p")
+    for x0, y0 in CERTIFICATE_POINTS:
+        specialised = [0] * (k + 1)
+        for exps, coeff in f.terms().items():
+            specialised[exps[2]] += coeff * x0 ** exps[0] * y0 ** exps[1]
+        if not specialised[k]:
+            continue
+        derivative = [i * c for i, c in enumerate(specialised)]
+        if _integer_resultant(specialised[::-1], derivative[:0:-1]):
+            return True
+    return False
+
+
+def modular_certificate(f):
+    """``ImplicitWeb._certified_square_free`` without validating f first."""
+    web = ImplicitWeb.__new__(ImplicitWeb)
+    web.f = f
+    return web._certified_square_free()
 
 
 def homogenized_tangency_form(web, line):
@@ -108,13 +133,19 @@ def seeded_web_polynomial(rng, k, degree):
     return MultiPoly(terms)
 
 
-def _small_term_maps(max_exp, max_size):
+def _small_term_maps(max_exp, max_size, coefficients=st.integers(-5, 5)):
     return st.dictionaries(
         st.tuples(*[st.integers(0, max_exp)] * 3, st.just(0), st.just(0)),
-        st.integers(-5, 5),
+        coefficients,
         min_size=1,
         max_size=max_size,
     )
+
+
+# small integers, and multiples of the certificate's prime, whose residues vanish
+_RESIDUE_COEFFICIENTS = st.integers(-5, 5) | st.integers(-3, 3).map(
+    lambda c: c * CERTIFICATE_PRIME
+)
 
 
 _SMALL_WEBS = st.one_of(
@@ -202,6 +233,45 @@ class TestSquareFreeCertificate:
         discriminant_locus(web)
         discriminant_locus(web)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "f", [P ** 2 - CERTIFICATE_PRIME * X, CERTIFICATE_PRIME * P ** 2 + X * P + Y],
+        ids=["residue-vanishes", "leading-coefficient-vanishes"],
+    )
+    def test_fallback_when_the_residue_proves_nothing(self, f):
+        # square-free over Z, and the integer certificate proves it, but every
+        # residue mod q vanishes or every point is skipped
+        assert integer_certificate(f)
+        assert not modular_certificate(f)
+        web = ImplicitWeb(f)
+        assert "discriminant" in vars(web)
+        assert not web.discriminant.is_zero
+
+    def test_wide_leading_coefficient_is_certified(self):
+        # the integer certificate ran for minutes on this one
+        web = ImplicitWeb(X ** 100 * P ** 100 - Y)
+        assert "discriminant" not in vars(web)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        leads=st.tuples(*[st.sampled_from([-3, -1, 1, 2, CERTIFICATE_PRIME + 2])] * 2),
+        f_tail=st.lists(_RESIDUE_COEFFICIENTS, min_size=1, max_size=7),
+        g_tail=st.lists(_RESIDUE_COEFFICIENTS, max_size=7),
+    )
+    def test_residue_is_the_integer_resultant_mod_q(self, leads, f_tail, g_tail):
+        # descending coefficients, leading ones units mod q, deg f >= deg g
+        q = CERTIFICATE_PRIME
+        f = [leads[0]] + f_tail
+        g = [leads[1]] + g_tail[:len(f_tail)]
+        residue = _resultant_mod([c % q for c in f], [c % q for c in g], q)
+        assert residue == _integer_resultant(f, g) % q
+
+    @settings(max_examples=150, deadline=None)
+    @given(f=_SMALL_WEBS | st.builds(MultiPoly, _small_term_maps(2, 5, _RESIDUE_COEFFICIENTS)))
+    def test_modular_certificate_implies_the_integer_one(self, f):
+        assume(f.degree("p") >= 1)
+        if modular_certificate(f):
+            assert integer_certificate(f)
 
     @settings(max_examples=150, deadline=None)
     @given(f=_SMALL_WEBS, certificate=st.booleans())
