@@ -116,19 +116,7 @@ class RingElement:
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self._coeffs)
-        for key, value in other._coeffs.items():
-            updated = out.get(key, 0) + value
-            if updated:
-                out[key] = updated
-            else:
-                out.pop(key, None)
-        result = RingElement(self.n)
-        result._coeffs = out
-        return result
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
@@ -138,10 +126,23 @@ class RingElement:
         return result
 
     def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign: int):
+        """self + sign * other, accumulated in one copy of self's map."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        out = dict(self._coeffs)
+        for key, value in other._coeffs.items():
+            updated = out.get(key, 0) + sign * value
+            if updated:
+                out[key] = updated
+            else:
+                del out[key]  # stored coefficients are nonzero
+        result = RingElement(self.n)
+        result._coeffs = out
+        return result
 
     def __rsub__(self, other):
         return (-self) + other
@@ -167,8 +168,9 @@ class RingElement:
         while exponent:
             if exponent & 1:
                 result = result * base
-            base = base * base
             exponent >>= 1
+            if exponent:  # no square past the top bit: it would be the costliest
+                base = base * base
         return result
 
     # -- comparisons and inspection --------------------------------------------

@@ -6,21 +6,27 @@ generic point pass the k curve branches whose slopes are the p-roots of F.
 This module measures the web's characteristic numbers exactly from such
 tangency geometry, so the abstract two-term degree formulas can be checked
 against actual loci: the degree is the tangency count with a symbolic
-generic line, whose tangencies are all affine, and the first polar locus
-through a symbolic generic point comes from eliminating the slope against
-the pencil of lines through that point.  The symbols live in the spare
-variable slots of ``MultiPoly``; nothing is sampled and no measurement
-depends on a seed.  Sampled lines and points stay as independent
-references for the tests: ``tangency_with_line`` counts projectively, as
-the degree of the affine restriction plus the order of tangency at the
-line's point at infinity, which a particular line can have.
+generic line, whose tangencies are all affine, read off the leading
+x-coefficient of F along that line without expanding the restriction, and
+the first polar locus through a symbolic generic point comes from
+eliminating the slope against the pencil of lines through that point.  The
+point's symbols live in the spare variable slots of ``MultiPoly``; nothing
+is sampled and no measurement depends on a seed.  Sampled lines and points
+stay as independent references for the tests: ``tangency_with_line`` counts
+projectively, as the degree of the affine restriction plus the order of
+tangency at the line's point at infinity, which a particular line can have.
 
-Validation certifies square-freeness one-sidedly: a nonzero residue of
-the univariate discriminant at a fixed integer point (CERTIFICATE_POINTS,
-independent of any seed) modulo the word-size CERTIFICATE_PRIME proves it,
-and only otherwise is the symbolic discriminant Res_p(F, F_p) computed.
-That resultant is cached on the web (``ImplicitWeb.discriminant``), so
-``discriminant_locus`` reuses it.
+Two yes/no questions are first asked modulo the word-size prime
+CERTIFICATE_PRIME at fixed integer points (CERTIFICATE_POINTS, independent
+of any seed), and each answer is certified one-sidedly.  Validation: a
+nonzero residue of the univariate discriminant proves square-freeness, and
+only otherwise is the symbolic discriminant Res_p(F, F_p) computed; that
+resultant is cached on the web (``ImplicitWeb.discriminant``), so
+``discriminant_locus`` reuses it.  Invariance: a nonzero residue of the
+cleared numerator G modulo the curve C on a vertical line proves that C
+does not divide G, and only otherwise is G expanded and divided exactly,
+the one way to answer "invariant".  Both residues come from one small set
+of helpers for polynomials in one variable over F_q.
 Slope degrees above MAX_SLOPE_DEGREE are refused before any of this.
 """
 
@@ -29,8 +35,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 
-from .multipoly import MultiPoly, resultant, variables
+from .multipoly import VARIABLES, MultiPoly, resultant, variables
 
 COEFFICIENT_SPAN = 999  # random integer samples are drawn from [-999, 999]
 # the square-freeness certificate costs O(k^2) word-size operations: on dense
@@ -71,14 +78,16 @@ class ImplicitWeb:
             raise TypeError(f"expected a MultiPoly, got {type(f).__name__}")
         if not f.uses_only({"x", "y", "p"}):
             raise ValueError("web polynomials may use only the variables x, y and p")
-        if f.degree("p") < 1:
+        k = f.degree("p")
+        if k < 1:
             raise ValueError("web polynomial is constant in the slope variable p")
-        if f.degree("p") > MAX_SLOPE_DEGREE:
+        if k > MAX_SLOPE_DEGREE:
             raise ValueError(
-                f"web polynomial has degree {f.degree('p')} in the slope variable p, "
+                f"web polynomial has degree {k} in the slope variable p, "
                 f"more than {MAX_SLOPE_DEGREE}"
             )
         self.f = f
+        self.k = k
         if not self._certified_square_free() and self.discriminant.is_zero:
             raise ValueError("web polynomial is not square-free in the slope variable p")
 
@@ -100,16 +109,12 @@ class ImplicitWeb:
         """
         k = self.k
         q = CERTIFICATE_PRIME
-        terms = self.f.terms().items()
         for x0, y0 in CERTIFICATE_POINTS:
-            specialised = [0] * (k + 1)
-            for exps, coeff in terms:
-                specialised[exps[2]] += coeff * pow(x0, exps[0], q) * pow(y0, exps[1], q)
-            specialised = [c % q for c in specialised]
-            if not specialised[k]:
+            specialised = _specialise_mod(self.f, "p", q, x=x0, y=y0)
+            if len(specialised) <= k:
                 continue
-            derivative = [i * c % q for i, c in enumerate(specialised)]
-            if _resultant_mod(specialised[::-1], derivative[:0:-1], q):
+            derivative = [(k - i) * c % q for i, c in enumerate(specialised[:-1])]
+            if _resultant_mod(specialised, derivative, q):
                 return True
         return False
 
@@ -117,10 +122,6 @@ class ImplicitWeb:
     def discriminant(self) -> MultiPoly:
         """The symbolic discriminant Res_p(F, F_p), computed on first use."""
         return resultant(self.f, self.f.derivative("p"), "p")
-
-    @property
-    def k(self) -> int:
-        return self.f.degree("p")
 
     @cached_property
     def infinity_chart(self) -> MultiPoly:
@@ -147,29 +148,82 @@ class ImplicitWeb:
         return out
 
 
+# -- polynomials in one variable over F_q, q = CERTIFICATE_PRIME -------------------
+# A polynomial is its list of residues from the highest degree down, with no
+# leading zero, so the zero polynomial is [].
+
+
+def _specialise_mod(poly: MultiPoly, var: str, q: int, **point: int) -> list[int]:
+    """poly as a polynomial in var over F_q, every other variable it uses at point."""
+    slot = VARIABLES.index(var)
+    fixed = []
+    for name, value in point.items():
+        powers = [1]
+        for _ in range(poly.degree(name)):
+            powers.append(powers[-1] * value % q)
+        fixed.append((VARIABLES.index(name), powers))
+    out = [0] * (poly.degree(var) + 1)
+    for exps, coeff in poly.terms().items():
+        for i, powers in fixed:
+            coeff *= powers[exps[i]]
+        out[exps[slot]] += coeff
+    return _strip([c % q for c in reversed(out)])
+
+
+def _strip(f: list[int]) -> list[int]:
+    lead = next((i for i, c in enumerate(f) if c), len(f))
+    return f[lead:]
+
+
+def _add_mod(f: list[int], g: list[int], q: int) -> list[int]:
+    if len(f) < len(g):
+        f, g = g, f
+    out = f[:]
+    shift = len(f) - len(g)
+    for j, c in enumerate(g):
+        out[shift + j] = (out[shift + j] + c) % q
+    return _strip(out)
+
+
+def _mul_mod(f: list[int], g: list[int], q: int) -> list[int]:
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return [c % q for c in out]  # the leading product is a unit: nothing to strip
+
+
+def _rem_mod(f: list[int], g: list[int], q: int) -> list[int]:
+    """f mod g over F_q, for g nonzero."""
+    m, n = len(f) - 1, len(g) - 1
+    if m < n:
+        return f
+    inverse = pow(g[0], -1, q)
+    tail = g[1:]
+    r = f[:]
+    for i in range(m - n + 1):
+        factor = r[i] % q * inverse % q
+        if factor:  # entries are reduced once, at the end
+            r[i + 1:i + n + 1] = [c - factor * b for c, b in zip(r[i + 1:i + n + 1], tail)]
+    return _strip([c % q for c in r[m - n + 1:]])
+
+
 def _resultant_mod(f: list[int], g: list[int], q: int) -> int:
     """Res(f, g) mod the prime q by the Euclidean remainder sequence over F_q.
 
-    f and g are coefficient lists in descending degree order, reduced mod q,
-    with nonzero leading coefficients and deg f >= deg g.  With r = f mod g
-    of degree d, Res(f, g) = (-1)^(deg f * deg g) * lc(g)^(deg f - d) *
-    Res(g, r); Res(f, c) = c^(deg f) for a constant c, and Res(g, 0) = 0.
+    f and g are nonzero polynomials over F_q with deg f >= deg g.  With
+    r = f mod g of degree d, Res(f, g) = (-1)^(deg f * deg g) *
+    lc(g)^(deg f - d) * Res(g, r); Res(f, c) = c^(deg f) for a constant c,
+    and Res(g, 0) = 0.
     """
     result = 1
     while len(g) > 1:
         m, n = len(f) - 1, len(g) - 1
-        inverse = pow(g[0], -1, q)
-        r = f[:]
-        for i in range(m - n + 1):
-            factor = r[i] * inverse % q
-            if factor:
-                for j in range(1, n + 1):
-                    r[i + j] = (r[i + j] - factor * g[j]) % q
-        r = r[m - n + 1:]
-        lead = next((i for i, c in enumerate(r) if c), None)
-        if lead is None:
+        r = _rem_mod(f, g, q)
+        if not r:
             return 0
-        r = r[lead:]
         if m * n % 2:
             result = -result
         result = result * pow(g[0], m - (len(r) - 1), q) % q
@@ -237,29 +291,50 @@ def web_degree(web: ImplicitWeb) -> int:
     """Degree of the web: tangency count with a symbolic generic line.
 
     The line y = a*x + b has slope a, so its affine restriction is
-    F(x, a*x + b, a), with a and b in the y and p slots; its x-degree is the
-    count.  Nothing is lost at infinity: the generic line meets the line at
-    infinity at a generic point and is not tangent there, since in the chart
-    at infinity its restriction at u = 0 is that chart at u = 0, which
-    saturation leaves nonzero.  The substitution is an invertible change of
-    variables, so the restriction never vanishes.
+    F(x, a*x + b, a), and its x-degree is the count.  Nothing is lost at
+    infinity: the generic line meets the line at infinity at a generic point
+    and is not tangent there, since in the chart at infinity its restriction
+    at u = 0 is that chart at u = 0, which saturation leaves nonzero.  The
+    substitution is an invertible change of variables, so the restriction
+    never vanishes.  Its coefficient of x^d, a polynomial in a and b, is the
+    sum of c * comb(β, d-α) * a^(d-α+γ) * b^(α+β-d) over the terms
+    c * x^α y^β p^γ of F with α <= d <= α+β; the count is the largest d
+    where that sum is nonzero, so nothing is expanded.
+
+    >>> x, y, p = variables("x", "y", "p")
+    >>> web_degree(ImplicitWeb(p**2 - y)), web_degree(ImplicitWeb(x*p - y))
+    (1, 0)
     """
-    x, y, p = variables("x", "y", "p")
-    return web.f.substitute(y=y * x + p, p=y).degree("x")
+    terms = [(alpha, beta, gamma, coeff)
+             for (alpha, beta, gamma, _, _), coeff in web.f.terms().items()]
+    for d in range(max((alpha + beta for alpha, beta, _, _ in terms), default=-1), -1, -1):
+        coefficient: dict[tuple[int, int], int] = {}
+        for alpha, beta, gamma, coeff in terms:
+            if alpha <= d <= alpha + beta:
+                key = (d - alpha + gamma, alpha + beta - d)
+                coefficient[key] = coefficient.get(key, 0) + coeff * comb(beta, d - alpha)
+        if any(coefficient.values()):
+            return d
+    raise RuntimeError(
+        f"internal consistency check failed: F(x, a*x + b, a) vanishes for F = {web.f}"
+    )
 
 
 def _clear_slope(coefficients: list[MultiPoly], c1: MultiPoly, c0: MultiPoly) -> MultiPoly:
     """sum_i a_i * (-c0)^i * c1^(k-i): F at the slope p = -c0/c1, times c1^k.
 
     Up to the sign (-1)^k this is Res_p(F, c1*p + c0), the resultant of F
-    against a polynomial linear in p.
+    against a polynomial linear in p.  Horner's rule in -c0 takes k products
+    by -c0, k by a power of c1 and k - 1 to raise that power.
     """
     k = len(coefficients) - 1
-    return MultiPoly.sum(
-        a_i * (-c0) ** i * c1 ** (k - i)
-        for i, a_i in enumerate(coefficients)
-        if not a_i.is_zero
-    )
+    minus_c0 = -c0
+    out, c1_power = coefficients[k], c1
+    for i in range(k - 1, -1, -1):
+        out = out * minus_c0 + coefficients[i] * c1_power
+        if i:
+            c1_power = c1_power * c1
+    return out
 
 
 def polar_curve(web: ImplicitWeb, z: tuple) -> MultiPoly:
@@ -296,13 +371,55 @@ def _invariance_core(p_coefficients: list[MultiPoly], curve: MultiPoly) -> bool:
     """Divisibility form of the invariance test.
 
     On the curve C = 0 the slope is p = -C_x / C_y, so C is invariant
-    exactly when C divides sum_i A_i * (-C_x)^i * C_y^(k-i), the cleared
-    numerator of F evaluated along the curve.
+    exactly when C divides G = sum_i A_i * (-C_x)^i * C_y^(k-i), the cleared
+    numerator of F evaluated along the curve.  A nonzero residue of
+    ``_certified_not_dividing`` proves that it does not; only otherwise is G
+    expanded and divided.
     """
+    curve = curve.primitive_part()
+    if _certified_not_dividing(p_coefficients, curve):
+        return False
     cleared = _clear_slope(p_coefficients, curve.derivative("y"), curve.derivative("x"))
-    if cleared.is_zero:
-        return True
-    return curve.primitive_part().divides(cleared)
+    return curve.divides(cleared)
+
+
+def _certified_not_dividing(p_coefficients: list[MultiPoly], curve: MultiPoly) -> bool:
+    """True proves that C does not divide G; False proves nothing.
+
+    Specialisation at x = x0 followed by reduction modulo the prime
+    q = CERTIFICATE_PRIME is a ring map Z[x, y] -> F_q[y], so C | G over Z
+    gives C(x0, y) | G(x0, y) over F_q.  Where C(x0, y) is not constant
+    mod q, a nonzero residue g = G(x0, y) mod C(x0, y) therefore proves
+    C ∤ G.  The abscissa x0 is the first of CERTIFICATE_POINTS where
+    C(x0, y) is not constant: a second one would only repeat the work on
+    every invariant curve.  The residue is taken by the Horner rule of
+    ``_clear_slope`` with every product reduced mod C(x0, y), so its cost
+    does not depend on the size of G.
+    """
+    q = CERTIFICATE_PRIME
+    for x0, _ in CERTIFICATE_POINTS:
+        modulus = _specialise_mod(curve, "y", q, x=x0)
+        if len(modulus) > 1:
+            break
+    else:
+        return False
+
+    def residue(poly: MultiPoly) -> list[int]:
+        return _rem_mod(_specialise_mod(poly, "y", q, x=x0), modulus, q)
+
+    n = len(modulus) - 1
+    # C_y(x0, y) is the y-derivative of C(x0, y), nonzero as n < q
+    c_y = [(n - i) * c % q for i, c in enumerate(modulus[:-1])]
+    minus_c_x = [-c % q for c in residue(curve.derivative("x"))]
+    k = len(p_coefficients) - 1
+    g, c_y_power = residue(p_coefficients[k]), c_y
+    for i in range(k - 1, -1, -1):
+        g = _add_mod(_mul_mod(g, minus_c_x, q),
+                     _mul_mod(residue(p_coefficients[i]), c_y_power, q), q)
+        g = _rem_mod(g, modulus, q)
+        if i:
+            c_y_power = _rem_mod(_mul_mod(c_y_power, c_y, q), modulus, q)
+    return bool(g)
 
 
 def is_invariant(web: ImplicitWeb, curve: MultiPoly) -> bool:

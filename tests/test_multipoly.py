@@ -482,8 +482,10 @@ class TestRendering:
         import doctest
 
         import webpolar.multipoly
+        import webpolar.polar
         import webpolar.ring
+        import webpolar.weblab
 
-        for module in (webpolar.multipoly, webpolar.ring):
+        for module in (webpolar.multipoly, webpolar.ring, webpolar.polar, webpolar.weblab):
             failures = doctest.testmod(module).failed
             assert failures == 0, module.__name__

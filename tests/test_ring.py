@@ -4,7 +4,10 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from webpolar.exprparse import parse_ring_expr
 from webpolar.ring import (
     RingElement,
     dual_hyperplane,
@@ -120,6 +123,84 @@ class TestArithmetic:
         h = hyperplane(2)
         assert 2 * h == h + h
         assert (h - 1) + 1 == h
+
+
+def raw_maps(n, max_exponent=None):
+    """Exponent maps, canonical or not, for the ring of P^n."""
+    top = 2 * n if max_exponent is None else max_exponent
+    return st.dictionaries(
+        st.tuples(st.integers(0, top), st.integers(0, top)),
+        st.integers(-9, 9), max_size=6,
+    )
+
+
+def elements(n):
+    return raw_maps(n).map(lambda raw: RingElement(n, raw))
+
+
+def raw_product(f, g):
+    out = {}
+    for (a1, b1), v1 in f.items():
+        for (a2, b2), v2 in g.items():
+            out[(a1 + a2, b1 + b2)] = out.get((a1 + a2, b1 + b2), 0) + v1 * v2
+    return out
+
+
+def raw_sum(f, g):
+    out = dict(f)
+    for key, value in g.items():
+        out[key] = out.get(key, 0) + value
+    return out
+
+
+_DIMENSIONS = st.integers(2, 16)
+_TRIPLES = _DIMENSIONS.flatmap(lambda n: st.tuples(elements(n), elements(n), elements(n)))
+
+
+class TestRingProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(_TRIPLES)
+    def test_commutative(self, triple):
+        u, v, _ = triple
+        assert u * v == v * u
+        assert u + v == v + u
+
+    @settings(max_examples=150, deadline=None)
+    @given(_TRIPLES)
+    def test_associative(self, triple):
+        u, v, w = triple
+        assert (u * v) * w == u * (v * w)
+        assert (u + v) + w == u + (v + w)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_TRIPLES)
+    def test_distributive(self, triple):
+        u, v, w = triple
+        assert u * (v + w) == u * v + u * w
+        assert u * (v - w) == u * v - u * w
+        assert (v - w) + w == v
+
+    @settings(max_examples=150, deadline=None)
+    @given(_DIMENSIONS.flatmap(lambda n: st.tuples(st.just(n), raw_maps(n), raw_maps(n, 3))))
+    def test_canonical_form_is_unique(self, case):
+        # an exponent map and the same map plus multiples of both relations
+        # reduce to one element, and its printed form parses back to it
+        n, raw, multiplier = case
+        relation = {(n - i, i): (-1) ** i for i in range(n + 1)}
+        element = RingElement(n, raw)
+        shifted = raw_sum(raw_sum(raw, raw_product(relation, multiplier)),
+                          raw_product({(n + 1, 0): 1}, multiplier))
+        assert RingElement(n, shifted) == element
+        assert parse_ring_expr(str(element), n) == element
+
+    @settings(max_examples=150, deadline=None)
+    @given(_DIMENSIONS.flatmap(lambda n: st.tuples(elements(n), st.integers(0, 12))))
+    def test_power_is_repeated_multiplication(self, case):
+        element, m = case
+        product = one(element.n)
+        for _ in range(m):
+            product = product * element
+        assert element ** m == product
 
 
 class TestIntegration:

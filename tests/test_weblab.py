@@ -8,7 +8,11 @@ with the sampled lines and points and the pencil resultant they replaced,
 kept here as references.  Discriminants are checked against sympy.
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -16,6 +20,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import webpolar
 import webpolar.weblab as weblab
 from webpolar.multipoly import MultiPoly, _integer_resultant, resultant, variables
 from webpolar.weblab import (
@@ -32,6 +37,8 @@ from webpolar.weblab import (
     sample_line,
     sample_point,
     tangency_with_line,
+    _certified_not_dividing,
+    _clear_slope,
     _resultant_mod,
     web_degree,
 )
@@ -75,7 +82,7 @@ def integer_certificate(f):
 def modular_certificate(f):
     """``ImplicitWeb._certified_square_free`` without validating f first."""
     web = ImplicitWeb.__new__(ImplicitWeb)
-    web.f = f
+    web.f, web.k = f, f.degree("p")
     return web._certified_square_free()
 
 
@@ -121,6 +128,33 @@ def pencil_resultant_polar(web, z):
     """The polar curve as the Sylvester resultant against the pencil through z."""
     z1, z2 = z
     return resultant(web.f, (Y - z2) - P * (X - z1), "p")
+
+
+def expanded_web_degree(web):
+    """The degree as the lab read it before: the x-degree of the expanded
+    F(x, a*x + b, a), with a and b in the y and p slots."""
+    return web.f.substitute(y=Y * X + P, p=Y).degree("x")
+
+
+def swapped_chart(coefficients, curve):
+    """The reciprocal-slope form of ``is_invariant``, for a curve without y."""
+    swapped = [a.swap_xy() for a in reversed(coefficients)]
+    while len(swapped) > 1 and swapped[-1].is_zero:
+        swapped.pop()
+    return swapped, curve.swap_xy()
+
+
+def exact_invariance(web, curve):
+    """The verdict by expansion and exact division alone, as before the
+    modular certificate: C divides G = sum_i a_i (-C_x)^i C_y^(k-i), each
+    term powered on its own."""
+    coefficients = web.f.coefficient_list("p")
+    if curve.derivative("y").is_zero:
+        coefficients, curve = swapped_chart(coefficients, curve)
+    c_x, c_y = curve.derivative("x"), curve.derivative("y")
+    k = len(coefficients) - 1
+    cleared = MultiPoly.sum(a * (-c_x) ** i * c_y ** (k - i) for i, a in enumerate(coefficients))
+    return curve.primitive_part().divides(cleared)
 
 
 def seeded_web_polynomial(rng, k, degree):
@@ -376,6 +410,24 @@ class TestWebDegree:
     def test_known_webs(self, f, expected):
         assert web_degree(ImplicitWeb(f)) == expected
 
+    @settings(max_examples=200, deadline=None)
+    @given(f=st.one_of(
+        st.builds(MultiPoly, _small_term_maps(3, 8)),
+        # F(x, a*x + b, a) is -b * G(x, a*x + b, a) for F = G * (x*p - y) + H,
+        # so the top coefficients cancel and the walk goes below max(α+β)
+        st.builds(lambda g, h: MultiPoly(g) * (X * P - Y) + MultiPoly(h),
+                  _small_term_maps(2, 4), _small_term_maps(1, 3)),
+    ))
+    def test_matches_the_expanded_restriction(self, f):
+        web = valid_web(f.terms())
+        assert web_degree(web) == expanded_web_degree(web)
+
+    def test_vanishing_restriction_is_an_internal_error(self):
+        web = ImplicitWeb.__new__(ImplicitWeb)
+        web.f, web.k = MultiPoly.zero(), 0
+        with pytest.raises(RuntimeError, match="internal consistency"):
+            web_degree(web)
+
     def test_line_choice_independence(self):
         web = ImplicitWeb(PARABOLA_WEB)
         values = set()
@@ -604,6 +656,92 @@ class TestIsInvariant:
         assert is_invariant(swapped_web, curve.swap_xy()) == verdict
         if planted and not curve.derivative("y").is_zero:
             assert verdict
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        curve_terms=st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(0, 3), st.just(0), st.just(0), st.just(0)),
+            st.integers(-3, 3), min_size=1, max_size=5,
+        ),
+        content=st.sampled_from([1, 1, -2, 6]),
+        g_terms=_small_term_maps(1, 3),
+        h_terms=_small_term_maps(1, 3),
+        kind=st.sampled_from(["random", "planted", "vertical"]),
+    )
+    def test_verdict_is_the_exact_division(self, curve_terms, content, g_terms, h_terms, kind):
+        curve = MultiPoly(curve_terms)
+        if kind == "vertical":
+            curve = curve.substitute(y=X + 1)  # a curve in x alone: the swapped chart
+        curve = content * curve
+        assume(curve.total_degree() >= 1)
+        g, h = MultiPoly(g_terms), MultiPoly(h_terms)
+        if kind == "random":
+            f = g * P + h
+        else:
+            # C = 0 is invariant where the slope -C_x / C_y (for a vertical
+            # curve, p = infinity) is a root of F
+            f = (curve.derivative("y") * P + curve.derivative("x")) * g + curve * h
+        web = valid_web(f.terms())
+        assert is_invariant(web, curve) == exact_invariance(web, curve)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        curve_terms=st.dictionaries(
+            st.tuples(st.integers(0, 2), st.integers(0, 3), st.just(0), st.just(0), st.just(0)),
+            st.integers(-3, 3) | st.sampled_from([CERTIFICATE_PRIME, 2 * CERTIFICATE_PRIME]),
+            min_size=1, max_size=5,
+        ),
+        f_terms=_small_term_maps(2, 6, _RESIDUE_COEFFICIENTS),
+    )
+    def test_certificate_implies_exact_non_invariance(self, curve_terms, f_terms):
+        curve = MultiPoly(curve_terms).primitive_part()
+        assume(not curve.derivative("y").is_zero)
+        web = valid_web(f_terms)
+        if _certified_not_dividing(web.f.coefficient_list("p"), curve):
+            assert not exact_invariance(web, curve)
+
+    def test_certificate_answers_without_expanding(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the cleared numerator was expanded")
+
+        monkeypatch.setattr(weblab, "_clear_slope", refuse)
+        assert not is_invariant(ImplicitWeb(CUSP_WEB), Y)
+        assert not is_invariant(ImplicitWeb(CIRCLE_FOLIATION), (X - 1) ** 2 + Y ** 2 - 4)
+
+    def test_fallback_when_every_residue_vanishes(self, monkeypatch):
+        # G = -(x - x0)(x - x1) vanishes at both certificate abscissae, so
+        # only the exact division can answer, and y does not divide G
+        web = ImplicitWeb(UNCERTIFIABLE * (P - 1))
+        assert not _certified_not_dividing(web.f.coefficient_list("p"), Y)
+        expansions = []
+
+        def counting_clear_slope(*args):
+            expansions.append(args)
+            return _clear_slope(*args)
+
+        monkeypatch.setattr(weblab, "_clear_slope", counting_clear_slope)
+        assert not is_invariant(web, Y)
+        assert len(expansions) == 1
+
+    def test_high_degree_control_curve_answers_promptly(self):
+        # expanding and dividing the cleared numerator of this degree-60
+        # curve took about a minute; the residue proves non-invariance at once
+        env = dict(os.environ, PYTHONPATH=str(Path(webpolar.__file__).parent.parent))
+        completed = subprocess.run(
+            [sys.executable, "-m", "webpolar", "web", "--f", "p^3 - x*p - y",
+             "--curve", "(x+y+1)^60 - x"],
+            capture_output=True, text=True, env=env, timeout=20,
+        )
+        assert completed.returncode == 2
+        assert "NOT_INVARIANT" in completed.stdout
+
+    @pytest.mark.xfail(strict=True, reason="C | G is not invariance of the zero set when C "
+                                           "has a repeated factor; such curves are not refused")
+    def test_repeated_factor_is_judged_by_its_zero_set(self):
+        web = ImplicitWeb(P ** 3 - X * P - Y)
+        line = X + Y + 1
+        assert not is_invariant(web, line)
+        assert is_invariant(web, line ** 2) == is_invariant(web, line)
 
     def test_invariant_lines_of_the_radial_pencil(self):
         web = ImplicitWeb(X * P - Y)
