@@ -1,9 +1,12 @@
 """Sparse multivariate polynomials over the integers, with exact elimination.
 
 The variable universe is fixed to (x, y, p, t, u): x, y are affine plane
-coordinates, p is the slope dy/dx of an implicit differential equation, and
-u is the coordinate of the chart at infinity.  No computation uses t; the
-slot stays because ``terms()`` exposes this five-slot exponent layout.
+coordinates and p is the slope dy/dx of an implicit differential equation.
+t and u are the coordinates of the symbolic generic point through which
+``weblab.polar_curve`` draws the polar curve; u is also the coordinate of
+the chart at infinity of ``ImplicitWeb.infinity_chart``, the tests'
+independent reference for tangency counts.  ``terms()`` exposes this
+five-slot exponent layout.
 Coefficients are arbitrary-precision integers and nothing here ever touches
 floating point.
 

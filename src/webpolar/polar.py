@@ -82,12 +82,16 @@ class InequalityEntry:
     vacuous: bool
 
 
+class Verdict(str, Enum):
+    NOT_INVARIANT = "NOT_INVARIANT"
+    INCONCLUSIVE = "INCONCLUSIVE"
+
+
 @dataclass(frozen=True)
 class InequalityReport:
-    variety: CharNumbers
-    web: WebCharNumbers
     entries: tuple[InequalityEntry, ...]
 
+    @property
     def witness(self) -> InequalityEntry | None:
         """First unconditional, non-vacuous entry that fails, if any."""
         for entry in self.entries:
@@ -95,17 +99,16 @@ class InequalityReport:
                 return entry
         return None
 
+    @property
+    def verdict(self) -> Verdict:
+        """What the unconditional entries say about invariance.
 
-class Verdict(str, Enum):
-    NOT_INVARIANT = "NOT_INVARIANT"
-    INCONCLUSIVE = "INCONCLUSIVE"
-
-
-@dataclass(frozen=True)
-class Certification:
-    verdict: Verdict
-    witness: InequalityEntry | None
-    report: InequalityReport
+        A failing j = 0 entry proves the variety is not invariant under any
+        plane field with these characteristic numbers.  When every entry
+        holds the answer is INCONCLUSIVE: the inequalities are necessary
+        conditions only.
+        """
+        return Verdict.INCONCLUSIVE if self.witness is None else Verdict.NOT_INVARIANT
 
 
 def invariance_inequalities(
@@ -142,22 +145,7 @@ def invariance_inequalities(
                     vacuous=vacuous,
                 )
             )
-    return InequalityReport(variety=c, web=w, entries=tuple(entries))
-
-
-def certify_noninvariance(c: CharNumbers, w: WebCharNumbers) -> Certification:
-    """Decide what the unconditional inequalities say about invariance.
-
-    A failing j = 0 entry proves the variety is not invariant under any
-    plane field with these characteristic numbers.  When every entry holds
-    the answer is INCONCLUSIVE: the inequalities are necessary conditions
-    only.
-    """
-    report = invariance_inequalities(c, w, include_conditional=False)
-    witness = report.witness()
-    if witness is not None:
-        return Certification(Verdict.NOT_INVARIANT, witness, report)
-    return Certification(Verdict.INCONCLUSIVE, None, report)
+    return InequalityReport(entries=tuple(entries))
 
 
 def integer_root(x: int, m: int) -> int:

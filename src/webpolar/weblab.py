@@ -37,7 +37,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
+from .classes import WebCharNumbers
 from .multipoly import VARIABLES, MultiPoly, resultant, variables
+from .polar import hypersurface_degree_bound, polar_degree_web
 
 COEFFICIENT_SPAN = 999  # random integer samples are drawn from [-999, 999]
 # the square-freeness certificate costs O(k^2) word-size operations: on dense
@@ -48,6 +50,10 @@ COEFFICIENT_SPAN = 999  # random integer samples are drawn from [-999, 999]
 MAX_SLOPE_DEGREE = 100
 # a prime above MAX_SLOPE_DEGREE, so k * a_k is a unit wherever a_k is
 CERTIFICATE_PRIME = (1 << 61) - 1
+# Fixed points of the square-freeness and divisibility certificates, once
+# drawn from the box of sample_point: validation depends on no seed and draws
+# no sample point.
+CERTIFICATE_POINTS = ((792, -251), (-450, 36))
 
 
 class DegenerateSampleError(RuntimeError):
@@ -266,15 +272,6 @@ def _rng(seed: int, stream: str, index: int) -> random.Random:
     return random.Random(f"{seed}:{stream}:{index}")
 
 
-# Fixed points of the square-freeness certificate, from their own stream:
-# validation depends on no seed and draws no sample point.
-CERTIFICATE_POINTS = tuple(
-    (rng.randint(-COEFFICIENT_SPAN, COEFFICIENT_SPAN),
-     rng.randint(-COEFFICIENT_SPAN, COEFFICIENT_SPAN))
-    for rng in (_rng(0, "certificate", index) for index in range(2))
-)
-
-
 def sample_line(seed: int, index: int) -> AffineLine:
     rng = _rng(seed, "line", index)
     return AffineLine(rng.randint(-COEFFICIENT_SPAN, COEFFICIENT_SPAN),
@@ -452,18 +449,22 @@ class WebReport:
     k: int
     degree: int
     polar_curve_degree: int
-    polar_check_ok: bool
+    polar_curve_expected: int
     degree_bound: int
     curve_degree: int | None = None
     invariant: bool | None = None
     bound_check: str = "skipped"  # "holds" | "violated" | "skipped"
+
+    @property
+    def polar_check_ok(self) -> bool:
+        return self.polar_curve_degree == self.polar_curve_expected
 
     def to_dict(self) -> dict:
         out = {
             "k": self.k,
             "degree": self.degree,
             "polar_curve_degree": self.polar_curve_degree,
-            "polar_curve_expected": self.k + self.degree,
+            "polar_curve_expected": self.polar_curve_expected,
             "polar_check": self.polar_check_ok,
             "degree_bound": self.degree_bound,
         }
@@ -475,16 +476,22 @@ class WebReport:
 
 
 def end_to_end_check(web: ImplicitWeb, curve: MultiPoly | None = None) -> WebReport:
-    """Measure (d_0, d_1) geometrically, verify the polar degree, and, when a
-    curve is supplied, decide invariance and check the degree bound
-    deg C <= k + deg(web) + 1 (meaningful when the curve's projective
-    closure is smooth, which the caller asserts).  The polar degree is the
-    degree in x and y of the polar curve through a symbolic generic point."""
+    """Measure (d_0, d_1) = (k, deg W) geometrically and hold the calculus to it.
+
+    The measured numbers become ``WebCharNumbers(n=2, p=1, k=k, d=(k, deg W))``.
+    The expected polar degree is ``polar_degree_web(numbers, 1)`` and the
+    degree bound is ``hypersurface_degree_bound(numbers).overall``; both are
+    cross-checked there against the ring integral.  The measured polar
+    degree is the degree in x and y of the polar curve through a symbolic
+    generic point.  When a curve is supplied, its invariance is decided and
+    its degree checked against the bound (meaningful when the curve's
+    projective closure is smooth, which the caller asserts)."""
     k = web.k
     degree = web_degree(web)
+    numbers = WebCharNumbers(n=2, p=1, k=k, d=(k, degree))
     generic_polar = polar_curve(web, variables("t", "u"))
     polar_deg = max(exps[0] + exps[1] for exps in generic_polar.terms())
-    bound = k + degree + 1
+    bound = hypersurface_degree_bound(numbers).overall
     curve_fields = {}
     if curve is not None:
         invariant = is_invariant(web, curve)
@@ -502,7 +509,7 @@ def end_to_end_check(web: ImplicitWeb, curve: MultiPoly | None = None) -> WebRep
         k=k,
         degree=degree,
         polar_curve_degree=polar_deg,
-        polar_check_ok=polar_deg == k + degree,
+        polar_curve_expected=polar_degree_web(numbers, 1),
         degree_bound=bound,
         **curve_fields,
     )

@@ -26,7 +26,6 @@ from webpolar.cli import main
 from webpolar.multipoly import variables
 from webpolar.polar import (
     Verdict,
-    certify_noninvariance,
     hypersurface_degree_bound,
     invariance_inequalities,
     polar_degree_variety,
@@ -190,7 +189,7 @@ def test_criterion_7_geometric_cross_validation():
 def test_criterion_8_noninvariance_certification():
     c = smooth_hypersurface_char_numbers(5, 2)
     w = WebCharNumbers(n=2, p=1, k=1, d=(1, 2))
-    result = certify_noninvariance(c, w)
+    result = invariance_inequalities(c, w)
     assert result.verdict is Verdict.NOT_INVARIANT
     assert result.witness.m == 1
     assert result.witness.lhs == 20 and result.witness.rhs == 15

@@ -389,6 +389,17 @@ class TestTextMode:
         assert "invariant: yes" in out
         assert "bound check: 2 <= 4 holds" in out
 
+    def test_curve_with_leading_minus_attached_by_equals(self, capsys):
+        # a separate "-4*y+x^2" would be read as an option, not as the value
+        code, out, _ = run(capsys, "web", "--f", "p^2-y", "--curve=-4*y+x^2")
+        assert code == 0
+        assert out.endswith("verdict: INVARIANT\n")
+
+    def test_ring_expression_with_leading_minus_after_double_dash(self, capsys):
+        code, out, _ = run(capsys, "ring", "--n", "2", "--", "-c^2")
+        assert code == 0
+        assert out == "canonical: -h*c + h^2\nintegral: 0\n"
+
 
 class TestBigIntegerRendering:
     def test_large_values_become_decimal_strings(self, capsys):

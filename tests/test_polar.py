@@ -18,7 +18,6 @@ from webpolar.classes import (
 )
 from webpolar.polar import (
     Verdict,
-    certify_noninvariance,
     hypersurface_degree_bound,
     integer_root,
     invariance_inequalities,
@@ -217,14 +216,14 @@ class TestCertification:
     def test_quintic_example_certified(self):
         c = smooth_hypersurface_char_numbers(5, 2)
         w = WebCharNumbers(n=2, p=1, k=1, d=(1, 2))
-        result = certify_noninvariance(c, w)
+        result = invariance_inequalities(c, w)
         assert result.verdict is Verdict.NOT_INVARIANT
         assert result.witness.m == 1 and result.witness.j == 0
 
     def test_all_holding_is_inconclusive(self):
         c = smooth_hypersurface_char_numbers(3, 2)
         w = WebCharNumbers(n=2, p=1, k=1, d=(1, 2))
-        result = certify_noninvariance(c, w)
+        result = invariance_inequalities(c, w)
         assert result.verdict is Verdict.INCONCLUSIVE
         assert result.witness is None
 
@@ -232,7 +231,7 @@ class TestCertification:
         c = CharNumbers(n=3, q=0, a=(0, 0, 1))
         w = WebCharNumbers(n=3, p=1, k=1, d=(1, 2))
         with pytest.raises(ValueError):
-            certify_noninvariance(c, w)
+            invariance_inequalities(c, w)
 
     def test_never_certifies_below_the_bound(self):
         rng = random.Random(47)
@@ -244,7 +243,7 @@ class TestCertification:
                 bound = hypersurface_degree_bound(w).overall
                 for d in range(1, bound + 1):
                     c = smooth_hypersurface_char_numbers(d, n)
-                    result = certify_noninvariance(c, w)
+                    result = invariance_inequalities(c, w)
                     assert result.verdict is Verdict.INCONCLUSIVE, (d, w)
 
 
