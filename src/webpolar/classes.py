@@ -142,9 +142,9 @@ def web_char_integrals(s: RingElement, p: int) -> tuple[int, ...]:
     if not 1 <= p <= n - 1:
         raise ValueError(f"plane dimension p={p} out of range for n={n}")
     degree = s.homogeneous_degree()
-    if degree is not None and degree != p and not s.is_zero():
+    if degree is not None and degree != p and not s.is_zero:
         raise ValueError(f"class is homogeneous of degree {degree}, expected {p}")
-    if degree is None and not s.is_zero():
+    if degree is None and not s.is_zero:
         raise ValueError("class is not homogeneous")
     h_factor = hyperplane(n) ** (n - p - 1)
     return tuple(

@@ -14,6 +14,7 @@ consistency failures are RuntimeErrors and propagate.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -87,13 +88,14 @@ def _int_vector(text: str, label: str) -> tuple[int, ...]:
 
 def _cmd_ring(args) -> int:
     element = parse_ring_expr(args.expr, args.n)
+    integral = integrate(element)
     record = _record(
         "ring",
         {"n": args.n, "expr": args.expr},
-        {"canonical": str(element), "integral": integrate(element)},
+        {"canonical": str(element), "integral": integral},
         "OK",
     )
-    _emit(args, record, [f"canonical: {element}", f"integral: {integrate(element)}"])
+    _emit(args, record, [f"canonical: {element}", f"integral: {integral}"])
     return 0
 
 
@@ -160,18 +162,7 @@ def _cmd_check(args) -> int:
     w = WebCharNumbers.from_vector(args.n, d, args.k)
     report = invariance_inequalities(c, w, include_conditional=args.include_conditional)
     witness, verdict = report.witness, report.verdict
-    entries = [
-        {
-            "m": e.m,
-            "j": e.j,
-            "lhs": e.lhs,
-            "rhs": e.rhs,
-            "holds": e.holds,
-            "conditional": e.conditional,
-            "vacuous": e.vacuous,
-        }
-        for e in report.entries
-    ]
+    entries = [dataclasses.asdict(e) for e in report.entries]
     record = _record(
         "check",
         {

@@ -16,9 +16,10 @@ spelling); web polynomials use x, y and p.  Every printed canonical form
 re-parses to the same value.
 
 The reader evaluates while it parses.  A product of literals and variable
-powers stays one (exponent vector, coefficient) pair, and a sum adds its
-terms into one map from exponent vectors to coefficients; only
-parenthesised groups and their powers go through the ring's arithmetic.
+powers stays one (packed monomial, coefficient) pair, in the layout of
+``multipoly.SparsePoly``, and a sum adds its terms into one map from packed
+monomials to coefficients; only parenthesised groups and their powers go
+through the ring's arithmetic.
 One compiled regex splits the input in one linear scan.  Whitespace is
 skipped between its matches, never matched by a '\\s*' prefix, which would
 backtrack quadratically on a long run of blanks.
@@ -53,7 +54,6 @@ from __future__ import annotations
 
 import re
 from itertools import islice
-from operator import add
 
 MAX_SOURCE_LENGTH = 100_000
 MAX_LITERAL_DIGITS = 4000
@@ -90,13 +90,13 @@ def _lexical_error(token: str) -> str | None:
 class _Reader:
     """Recursive descent over the tokens of ``source``, evaluating as it goes.
 
-    ``slots`` maps each variable to its place in exponent vectors of length
-    ``width``; ``make`` builds a ring element from a map of exponent vectors
-    to coefficients (zero coefficients allowed), and ``terms`` reads the map
-    of an element back.  ``capped`` turns on the MAX_EXPANDED_TERMS checks.
+    ``shifts`` maps each variable to the shift of its field in a packed
+    monomial; ``make`` builds an element from a map of packed monomials to
+    coefficients (zero coefficients allowed).  ``capped`` turns on the
+    MAX_EXPANDED_TERMS checks.
     """
 
-    def __init__(self, source: str, slots: dict, width: int, make, terms, capped: bool):
+    def __init__(self, source: str, shifts: dict, make, capped: bool):
         if len(source) > MAX_SOURCE_LENGTH:
             raise ParseError(f"input longer than {MAX_SOURCE_LENGTH} characters", 1, 1)
         self.source = source
@@ -104,10 +104,8 @@ class _Reader:
         self.tokens.append("")  # end of input
         self.index = 0
         self.depth = 0
-        self.slots = slots
-        self.width = width
+        self.shifts = shifts
         self.make = make
-        self.terms = terms
         self.capped = capped
         self.refused = None  # the first expansion refusal, raised after parsing
 
@@ -169,18 +167,18 @@ class _Reader:
     def term(self, coeff: int, out: dict):
         """Read a product and add it, times ``coeff``, into the map ``out``."""
         tokens = self.tokens
-        exps = [0] * self.width
+        key = 0
         poly = None  # product of the groups read so far
         count = 1  # terms of the whole product so far
         star = None  # index of the '*' before the current factor
         while True:
             token = tokens[self.index]
-            slot = self.slots.get(token)
+            shift = self.shifts.get(token)
             right = 1  # terms of the current factor
-            if slot is not None:
+            if shift is not None:
                 self.index += 1
                 exponent = self.exponent()
-                exps[slot] += 1 if exponent is None else exponent
+                key += (1 if exponent is None else exponent) << shift
             elif token[:1] in _DIGITS:
                 value = self.integer()
                 self.index += 1
@@ -191,30 +189,27 @@ class _Reader:
                 right = 1 if value else 0
             elif token == "(":
                 group = self.group()
-                right = len(self.terms(group))
+                right = len(group._terms)
             elif token[:1] in _NAME_START:
-                expected = ", ".join(sorted(self.slots))
+                expected = ", ".join(sorted(self.shifts))
                 self.fail(f"unknown variable {token!r} (expected one of: {expected})")
             else:
                 self.fail(f"expected a number, variable or '(', found {token or 'end of input'!r}")
             refused = star is not None and self.capped and not self.allow(count * right, star)
             if token == "(" and not refused:
                 poly = group if poly is None else poly * group
-                count = len(self.terms(poly))
+                count = len(poly._terms)
             if not coeff:
                 count = 0
             if tokens[self.index] != "*":
                 break
             star = self.index
             self.index += 1
-        key = tuple(exps)
         if poly is None:
             out[key] = out.get(key, 0) + coeff
         elif coeff:
-            shifted = any(exps)
-            for e, c in self.terms(poly).items():
-                if shifted:
-                    e = tuple(map(add, e, key))
+            for e, c in poly._terms.items():
+                e += key
                 out[e] = out.get(e, 0) + coeff * c
 
     def group(self):
@@ -233,10 +228,9 @@ class _Reader:
         if exponent is None:
             return value
         if self.capped:
-            terms = self.terms(value)
             bound = 1
-            for slot in self.slots.values():
-                bound *= exponent * max((e[slot] for e in terms), default=0) + 1
+            for name in self.shifts:
+                bound *= exponent * max(value.degree(name), 0) + 1
             if not self.allow(bound, caret):
                 return value
         return value ** exponent
@@ -267,17 +261,20 @@ class _Reader:
 
 def parse_ring_expr(source: str, n: int):
     """Parse and evaluate a ring expression in h and c."""
-    from .ring import RingElement
+    from .ring import RingElement, _reduce
 
     return _Reader(
-        source, {"h": 0, "c": 1}, 2, lambda raw: RingElement(n, raw),
-        RingElement.coefficients, capped=False,
+        source, RingElement._SHIFTS, lambda raw: RingElement(n)._new(_reduce(raw, n)),
+        capped=False,
     ).read()
 
 
 def parse_poly_expr(source: str, allowed: set[str]):
     """Parse and evaluate a polynomial expression over the given variables."""
-    from .multipoly import VARIABLES, MultiPoly, _var_index
+    from .multipoly import MultiPoly
 
-    slots = {name: _var_index(name) for name in allowed}
-    return _Reader(source, slots, len(VARIABLES), MultiPoly, MultiPoly.terms, capped=True).read()
+    shifts = {name: MultiPoly._shift(name) for name in allowed}
+    return _Reader(
+        source, shifts, lambda raw: MultiPoly._wrap({k: c for k, c in raw.items() if c}),
+        capped=True,
+    ).read()

@@ -1,14 +1,26 @@
 """Sparse multivariate polynomials over the integers, with exact elimination.
 
-The variable universe is fixed to (x, y, p, t, u): x, y are affine plane
+``SparsePoly`` is the one sparse integer polynomial of the package: a map
+from packed monomials to nonzero coefficients, with its sum, difference,
+product, power, equality and printing.  ``MultiPoly`` here and
+``ring.RingElement`` derive from it, and each subclass declares its own
+``VARIABLES``.  A monomial is packed into one nonnegative int with one
+64-bit field per variable, the first variable most significant: the
+exponent of ``name`` is ``(key >> _SHIFTS[name]) & _FIELD``.  Int order is
+then lex order with the first variable major, a product of monomials is the
+sum of their keys, and a monomial m divides a monomial m' exactly when
+m' - m is nonnegative with no field's top bit set (``_GUARDS``).  All of
+this holds while every exponent stays below 2^63, which the public
+constructors and ``**`` check; ``terms()`` gives exponent tuples back.
+Coefficients are arbitrary-precision integers and nothing here ever touches
+floating point.
+
+``MultiPoly`` has the variables (x, y, p, t, u): x, y are affine plane
 coordinates and p is the slope dy/dx of an implicit differential equation.
 t and u are the coordinates of the symbolic generic point through which
 ``weblab.polar_curve`` draws the polar curve; u is also the coordinate of
 the chart at infinity of ``ImplicitWeb.infinity_chart``, the tests'
-independent reference for tangency counts.  ``terms()`` exposes this
-five-slot exponent layout.
-Coefficients are arbitrary-precision integers and nothing here ever touches
-floating point.
+independent reference for tangency counts.
 
 Resultants are determinants of the Sylvester matrix, taken by one of two
 exact paths.  Dense input is packed by Kronecker substitution: every
@@ -33,28 +45,215 @@ True
 
 from __future__ import annotations
 
+from functools import cache
 from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import floordiv
+from struct import Struct
 
-VARIABLES = ("x", "y", "p", "t", "u")
-_INDEX = {name: i for i, name in enumerate(VARIABLES)}
-_ZERO_EXPONENTS = (0, 0, 0, 0, 0)
-
-Exponents = tuple[int, int, int, int, int]
-
-
-def _var_index(name: str) -> int:
-    try:
-        return _INDEX[name]
-    except KeyError:
-        raise ValueError(f"unknown variable {name!r}; expected one of {VARIABLES}") from None
+_BITS = 64  # bits per exponent field of a packed monomial
+_FIELD = (1 << _BITS) - 1
+_LIMIT = 1 << (_BITS - 1)  # exponents stay below this
 
 
-class MultiPoly:
-    """An integer polynomial stored as a map from exponent tuples to coefficients.
+def _add_into(out: dict[int, int], terms: dict[int, int], sign: int) -> None:
+    """out += sign * terms, dropping the coefficients that cancel."""
+    for key, coeff in terms.items():
+        updated = out.get(key, 0) + sign * coeff
+        if updated:
+            out[key] = updated
+        else:
+            del out[key]  # stored coefficients are nonzero
+
+
+def _product(left: dict[int, int], right: dict[int, int]) -> dict[int, int]:
+    """Product of two packed term maps, every pair of terms multiplied out."""
+    out: dict[int, int] = {}
+    get = out.get
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            key = e1 + e2
+            updated = get(key, 0) + c1 * c2
+            if updated:
+                out[key] = updated
+            else:
+                del out[key]  # stored coefficients are nonzero
+    return out
+
+
+class SparsePoly:
+    """An integer combination of monomials in ``VARIABLES``, packed as above.
 
     Zero coefficients are never stored, so equality is plain map equality.
+    A subclass names its variables in ``VARIABLES``; one that keeps more
+    state carries it to results in ``_new`` and compares it in ``_space``.
+    """
+
+    __slots__ = ("_terms",)
+    VARIABLES: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        top = _BITS * (len(cls.VARIABLES) - 1)
+        cls._SHIFTS = {name: top - _BITS * i for i, name in enumerate(cls.VARIABLES)}
+        cls._GUARDS = sum(1 << (shift + _BITS - 1) for shift in cls._SHIFTS.values())
+
+    @classmethod
+    def _shift(cls, name: str) -> int:
+        try:
+            return cls._SHIFTS[name]
+        except KeyError:
+            raise ValueError(f"unknown variable {name!r}; expected one of {cls.VARIABLES}") from None
+
+    @classmethod
+    def _key(cls, exps) -> int:
+        """The packed monomial of an exponent tuple, checked."""
+        if len(exps) != len(cls.VARIABLES) or not all(0 <= e < _LIMIT for e in exps):
+            raise ValueError(
+                f"exponents {exps!r} are not {len(cls.VARIABLES)} integers in [0, 2^63)"
+            )
+        key = 0
+        for e in exps:
+            key = key << _BITS | e
+        return key
+
+    @classmethod
+    @cache
+    def _layout(cls, names: tuple[str, ...]) -> Struct:
+        """The fields of ``names``, which follow the order of ``VARIABLES``, as
+        big-endian words of a packed monomial; the others are pad bytes."""
+        shifts = [cls._shift(name) for name in names]
+        if shifts != sorted(set(shifts), reverse=True):
+            raise ValueError(f"variables {names} are not in the order of {cls.VARIABLES}")
+        return Struct(">" + "".join("Q" if shift in shifts else f"{_BITS // 8}x"
+                                    for shift in cls._SHIFTS.values()))
+
+    @classmethod
+    def _packed(cls, terms: dict) -> dict[int, int]:
+        """Packed form of a map from exponent tuples to coefficients."""
+        return {cls._key(exps): coeff for exps, coeff in terms.items() if coeff}
+
+    @classmethod
+    def _wrap(cls, terms: dict[int, int]) -> "SparsePoly":
+        result = object.__new__(cls)
+        result._terms = terms
+        return result
+
+    # an element alongside self with the packed, zero-free ``terms``; a
+    # subclass with more state overrides it to carry that state along
+    _new = _wrap
+
+    def _space(self):
+        """What besides the class fixes an element's ring; rings never mix."""
+        return None
+
+    def terms_in(self, *names: str) -> list[tuple[tuple[int, ...], int]]:
+        """Each term as (its exponents of ``names``, coefficient); ``names``
+        follow the order of ``VARIABLES``."""
+        layout = self._layout(names)
+        unpack, size = layout.unpack, layout.size
+        return [(unpack(key.to_bytes(size, "big")), coeff) for key, coeff in self._terms.items()]
+
+    def terms(self) -> dict[tuple[int, ...], int]:
+        """The map from exponent tuples, one entry per variable, to coefficients."""
+        return dict(self.terms_in(*self.VARIABLES))
+
+    # -- arithmetic --------------------------------------------------------------
+
+    def _coerce(self, other):
+        if isinstance(other, int):
+            return self._new({0: other} if other else {})
+        if type(other) is not type(self):
+            return None
+        if other._space() != self._space():
+            raise ValueError(f"ambient dimensions differ: {self._space()} and {other._space()}")
+        return other
+
+    def _combine(self, other, sign: int):
+        """self + sign * other, accumulated in one copy of self's map."""
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        out = dict(self._terms)
+        _add_into(out, other._terms, sign)
+        return self._new(out)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __neg__(self):
+        return self._new({key: -coeff for key, coeff in self._terms.items()})
+
+    def __pow__(self, exponent: int):
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError(f"exponent must be a nonnegative integer, got {exponent!r}")
+        top = max(map(max, self.terms()), default=0)
+        if top * exponent >= _LIMIT:
+            raise ValueError(f"power {exponent} takes an exponent past 2^63")
+        result = self._new({0: 1})
+        base = self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            exponent >>= 1
+            if exponent:  # no square past the top bit: it would be the costliest
+                base = base * base
+        return result
+
+    def __eq__(self, other):
+        if isinstance(other, int):
+            other = self._coerce(other)
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._terms == other._terms and self._space() == other._space()
+
+    def __hash__(self):
+        return hash(frozenset(self._terms.items()))
+
+    def __bool__(self):
+        return bool(self._terms)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    # -- rendering -------------------------------------------------------------------
+
+    @staticmethod
+    def _print_order(item):
+        """Higher total degree first, then larger exponents of earlier variables."""
+        exps = item[0]
+        return -sum(exps), tuple(-e for e in exps)
+
+    def __str__(self):
+        """``a*m1 + b*m2 - ...`` with '*' between factors and '^' for powers,
+        so every printed form re-parses under the CLI's expression grammar."""
+        parts = []
+        for exps, coeff in sorted(self.terms().items(), key=self._print_order):
+            mono = "*".join(name if e == 1 else f"{name}^{e}"
+                            for name, e in zip(self.VARIABLES, exps) if e)
+            mag = abs(coeff)
+            body = (mono if mag == 1 else f"{mag}*{mono}") if mono else str(mag)
+            if parts:
+                parts.append((" - " if coeff < 0 else " + ") + body)
+            else:
+                parts.append("-" + body if coeff < 0 else body)
+        return "".join(parts) if parts else "0"
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+class MultiPoly(SparsePoly):
+    """An integer polynomial in x, y, p, t and u.
 
     >>> x, y = variables("x", "y")
     >>> f = (x + y) ** 2
@@ -64,10 +263,11 @@ class MultiPoly:
     True
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+    VARIABLES = ("x", "y", "p", "t", "u")
 
-    def __init__(self, terms: dict[Exponents, int] | None = None):
-        self._terms = {e: c for e, c in terms.items() if c} if terms else {}
+    def __init__(self, terms: dict[tuple[int, ...], int] | None = None):
+        self._terms = self._packed(terms) if terms else {}
 
     # -- constructors -----------------------------------------------------------
 
@@ -77,13 +277,11 @@ class MultiPoly:
 
     @classmethod
     def const(cls, value: int) -> "MultiPoly":
-        return cls({_ZERO_EXPONENTS: value})
+        return cls._wrap({0: value} if value else {})
 
     @classmethod
     def variable(cls, name: str) -> "MultiPoly":
-        exps = [0, 0, 0, 0, 0]
-        exps[_var_index(name)] = 1
-        return cls({tuple(exps): 1})
+        return cls._wrap({1 << cls._shift(name): 1})
 
     @classmethod
     def one(cls) -> "MultiPoly":
@@ -96,209 +294,108 @@ class MultiPoly:
         Linear in the total number of terms, where a chain of ``+`` would
         copy the running sum once per summand.
         """
-        out: dict[Exponents, int] = {}
+        out: dict[int, int] = {}
         for poly in polys:
-            if not out:
+            if out:
+                _add_into(out, poly._terms, 1)
+            else:
                 out = dict(poly._terms)
-                continue
-            for exps, coeff in poly._terms.items():
-                updated = out.get(exps, 0) + coeff
-                if updated:
-                    out[exps] = updated
-                else:
-                    del out[exps]  # stored coefficients are nonzero
-        result = cls()
-        result._terms = out
-        return result
+        return cls._wrap(out)
 
     # -- arithmetic --------------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, MultiPoly):
-            return other
-        if isinstance(other, int):
-            return MultiPoly.const(other)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return MultiPoly.sum((self, other))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        result = MultiPoly()
-        result._terms = {e: -c for e, c in self._terms.items()}
-        return result
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            updated = out.get(exps, 0) - coeff
-            if updated:
-                out[exps] = updated
-            else:
-                del out[exps]  # stored coefficients are nonzero
-        result = MultiPoly()
-        result._terms = out
-        return result
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out: dict[Exponents, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                key = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3], e1[4] + e2[4])
-                updated = out.get(key, 0) + c1 * c2
-                if updated:
-                    out[key] = updated
-                else:
-                    out.pop(key, None)
-        result = MultiPoly()
-        result._terms = out
-        return result
+        return self._new(_product(self._terms, other._terms))
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"exponent must be a nonnegative integer, got {exponent!r}")
-        result = MultiPoly.one()
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            exponent >>= 1
-            if exponent:  # no square past the top bit: it would be the costliest
-                base = base * base
-        return result
-
-    def __eq__(self, other):
-        other = self._coerce(other) if isinstance(other, int) else other
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __bool__(self):
-        return bool(self._terms)
-
     # -- inspection --------------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def terms(self) -> dict[Exponents, int]:
-        return dict(self._terms)
 
     def degree(self, var: str) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
-        i = _var_index(var)
-        return max((e[i] for e in self._terms), default=-1)
+        shift = self._shift(var)
+        return max((key >> shift & _FIELD for key in self._terms), default=-1)
 
     def min_degree(self, var: str) -> int:
         """Least exponent of ``var`` across all terms; -1 for zero."""
-        i = _var_index(var)
-        return min((e[i] for e in self._terms), default=-1)
+        shift = self._shift(var)
+        return min((key >> shift & _FIELD for key in self._terms), default=-1)
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self._terms), default=-1)
+    def total_degree(self, *names: str) -> int:
+        """Total degree, in ``names`` only when given; -1 for zero."""
+        layout = self._layout(names or self.VARIABLES)
+        unpack, size = layout.unpack, layout.size
+        return max((sum(unpack(key.to_bytes(size, "big"))) for key in self._terms), default=-1)
 
     def uses_only(self, names: set[str]) -> bool:
-        allowed = {_var_index(name) for name in names}
-        return all(
-            all(e[i] == 0 for i in range(5) if i not in allowed) for e in self._terms
-        )
+        others = sum(_FIELD << shift for name, shift in self._SHIFTS.items()
+                     if name not in names)
+        return not any(key & others for key in self._terms)
 
     def constant_value(self) -> int:
         if not self._terms:
             return 0
-        if set(self._terms) == {_ZERO_EXPONENTS}:
-            return self._terms[_ZERO_EXPONENTS]
+        if set(self._terms) == {0}:
+            return self._terms[0]
         raise ValueError(f"polynomial {self} is not constant")
 
     def coefficient_list(self, var: str) -> list["MultiPoly"]:
         """Coefficients in ``var``, ascending, as polynomials in the others."""
-        i = _var_index(var)
-        d = self.degree(var)
-        buckets: list[dict[Exponents, int]] = [{} for _ in range(d + 1)]
-        for exps, coeff in self._terms.items():
-            stripped = list(exps)
-            stripped[i] = 0
-            buckets[exps[i]][tuple(stripped)] = coeff
-        out = []
-        for bucket in buckets:
-            poly = MultiPoly()
-            poly._terms = bucket
-            out.append(poly)
-        return out
+        shift = self._shift(var)
+        buckets: list[dict[int, int]] = [{} for _ in range(self.degree(var) + 1)]
+        for key, coeff in self._terms.items():
+            e = key >> shift & _FIELD
+            buckets[e][key - (e << shift)] = coeff
+        return [self._new(bucket) for bucket in buckets]
 
     # -- calculus and substitution -------------------------------------------------
 
     def derivative(self, var: str) -> "MultiPoly":
-        i = _var_index(var)
-        out: dict[Exponents, int] = {}
-        for exps, coeff in self._terms.items():
-            if exps[i] == 0:
-                continue
-            lowered = list(exps)
-            lowered[i] -= 1
-            out[tuple(lowered)] = coeff * exps[i]
-        result = MultiPoly()
-        result._terms = out
-        return result
+        shift = self._shift(var)
+        out: dict[int, int] = {}
+        for key, coeff in self._terms.items():
+            e = key >> shift & _FIELD
+            if e:
+                out[key - (1 << shift)] = coeff * e
+        return self._new(out)
 
     def substitute(self, **assignments) -> "MultiPoly":
         """Replace variables by polynomials or integers; others stay put."""
-        bases: dict[int, MultiPoly] = {}
-        for name, value in assignments.items():
-            poly = value if isinstance(value, MultiPoly) else MultiPoly.const(value)
-            bases[_var_index(name)] = poly
+        bases = {self._shift(name): self._coerce(value) for name, value in assignments.items()}
+        order = sorted(bases, reverse=True)  # variables in their declared order
         power_cache: dict[tuple[int, int], MultiPoly] = {}
 
-        def power(i: int, e: int) -> MultiPoly:
-            key = (i, e)
+        def power(shift: int, e: int) -> MultiPoly:
+            key = (shift, e)
             if key not in power_cache:
-                power_cache[key] = bases[i] ** e
+                power_cache[key] = bases[shift] ** e
             return power_cache[key]
 
-        def image(exps: Exponents, coeff: int) -> MultiPoly:
-            residual = list(exps)
-            term = MultiPoly.const(coeff)
-            for i, e in enumerate(exps):
-                if e and i in bases:
-                    residual[i] = 0
-                    term = term * power(i, e)
-            shell = MultiPoly()
-            shell._terms = {tuple(residual): 1}
-            return term * shell
+        def image(key: int, coeff: int) -> MultiPoly:
+            term = self._new({0: coeff})
+            for shift in order:
+                e = key >> shift & _FIELD
+                if e:
+                    key -= e << shift
+                    term = term * power(shift, e)
+            return term * self._new({key: 1})
 
-        return MultiPoly.sum(image(exps, coeff) for exps, coeff in self._terms.items())
+        return self.sum(image(key, coeff) for key, coeff in self._terms.items())
 
     def evaluate(self, **point: int) -> int:
         """Evaluate at an integer point assigning every used variable."""
         return self.substitute(**point).constant_value()
 
     def swap_xy(self) -> "MultiPoly":
+        sx, sy = self._SHIFTS["x"], self._SHIFTS["y"]
         out = {}
-        for exps, coeff in self._terms.items():
-            out[(exps[1], exps[0], exps[2], exps[3], exps[4])] = coeff
-        result = MultiPoly()
-        result._terms = out
-        return result
+        for key, coeff in self._terms.items():
+            ex, ey = key >> sx & _FIELD, key >> sy & _FIELD
+            out[key + (ey - ex << sx) + (ex - ey << sy)] = coeff
+        return self._new(out)
 
     # -- exact division ------------------------------------------------------------
 
@@ -314,22 +411,19 @@ class MultiPoly:
         c = self.content()
         if c in (0, 1):
             return self
-        result = MultiPoly()
-        result._terms = {e: v // c for e, v in self._terms.items()}
-        return result
+        return self._new({key: coeff // c for key, coeff in self._terms.items()})
 
-    def leading_term(self) -> tuple[Exponents, int]:
+    def leading_term(self) -> tuple[tuple[int, ...], int]:
         """Lexicographically largest monomial (x-major order) and its coefficient."""
         if not self._terms:
             raise ValueError("zero polynomial has no leading term")
-        exps = max(self._terms)
-        return exps, self._terms[exps]
+        return max(self.terms().items())
 
     def try_exact_div(self, divisor: "MultiPoly") -> "MultiPoly | None":
         """Quotient self / divisor over the integers, or None if not exact.
 
         Leading monomials of the remainder come off a max-heap of negated
-        exponent tuples; a monomial that cancelled after it was pushed is
+        packed monomials; a monomial that cancelled after it was pushed is
         skipped when popped (lazy deletion).  Every step only touches
         monomials below the one it eliminates, so the steps, and the point
         where an inexact division gives up, are those of taking the largest
@@ -338,44 +432,36 @@ class MultiPoly:
         if divisor.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
         remainder = dict(self._terms)
-        heap = [(-e[0], -e[1], -e[2], -e[3], -e[4]) for e in remainder]
+        heap = [-key for key in remainder]
         heapify(heap)
-        quotient: dict[Exponents, int] = {}
-        div_lm, div_lc = divisor.leading_term()
-        d0, d1, d2, d3, d4 = div_lm
-        tail = [(e, c) for e, c in divisor._terms.items() if e != div_lm]
+        quotient: dict[int, int] = {}
+        div_lm = max(divisor._terms)
+        div_lc = divisor._terms[div_lm]
+        tail = [(key, coeff) for key, coeff in divisor._terms.items() if key != div_lm]
+        guards = self._GUARDS
         while heap:
-            n0, n1, n2, n3, n4 = heappop(heap)
-            lm = (-n0, -n1, -n2, -n3, -n4)
+            lm = -heappop(heap)
             lc = remainder.pop(lm, 0)
             if not lc:
                 continue
-            delta = (-n0 - d0, -n1 - d1, -n2 - d2, -n3 - d3, -n4 - d4)
-            if min(delta) < 0:
+            delta = lm - div_lm
+            if delta < 0 or delta & guards:  # a field of the divisor is larger
                 return None
             q, r = divmod(lc, div_lc)
             if r:
                 return None
             quotient[delta] = q
-            for exps, coeff in tail:
-                key = (
-                    delta[0] + exps[0],
-                    delta[1] + exps[1],
-                    delta[2] + exps[2],
-                    delta[3] + exps[3],
-                    delta[4] + exps[4],
-                )
+            for key, coeff in tail:
+                key += delta
                 previous = remainder.get(key)
                 if previous is None:
                     remainder[key] = -q * coeff
-                    heappush(heap, (-key[0], -key[1], -key[2], -key[3], -key[4]))
+                    heappush(heap, -key)
                 elif previous == q * coeff:
                     del remainder[key]
                 else:
                     remainder[key] = previous - q * coeff
-        result = MultiPoly()
-        result._terms = quotient
-        return result
+        return self._new(quotient)
 
     def exact_div(self, divisor: "MultiPoly") -> "MultiPoly":
         quotient = self.try_exact_div(divisor)
@@ -386,28 +472,8 @@ class MultiPoly:
     def divides(self, other: "MultiPoly") -> bool:
         return other.try_exact_div(self) is not None
 
-    # -- rendering -------------------------------------------------------------------
 
-    def __str__(self):
-        items = sorted(
-            self._terms.items(),
-            key=lambda kv: (-sum(kv[0]), tuple(-e for e in kv[0])),
-        )
-        from ._format import format_sum
-
-        rendered = []
-        for exps, coeff in items:
-            factors = []
-            for name, e in zip(VARIABLES, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            rendered.append((coeff, "*".join(factors)))
-        return format_sum(rendered)
-
-    def __repr__(self):
-        return f"MultiPoly({self})"
+VARIABLES = MultiPoly.VARIABLES
 
 
 def variables(*names: str) -> tuple[MultiPoly, ...]:
@@ -493,25 +559,24 @@ class _Packing:
     evaluated determinant are the resultant's coefficients.
     """
 
-    __slots__ = ("var", "slots", "weights", "box", "width")
+    __slots__ = ("var", "shifts", "weights", "box", "width")
 
     def __init__(self, f: MultiPoly, g: MultiPoly, var: str):
-        self.var = _var_index(var)
+        self.var = var
         deg_f = f.degree(var)
         deg_g = g.degree(var)
         radices = {}
-        for v in range(5):
-            if v != self.var:
-                bound = (deg_g * max(e[v] for e in f._terms)
-                         + deg_f * max(e[v] for e in g._terms))
+        for name in f.VARIABLES:
+            if name != var:
+                bound = deg_g * f.degree(name) + deg_f * g.degree(name)
                 if bound:
-                    radices[v] = bound + 1
-        self.slots = tuple(radices)
+                    radices[f._shift(name)] = bound + 1
+        self.shifts = tuple(radices)
         self.weights = []
         box = 1
-        for v in reversed(self.slots):
+        for shift in reversed(self.shifts):
             self.weights.insert(0, box)
-            box *= radices[v]
+            box *= radices[shift]
         self.box = box  # number of digits
         norm_f, norm_g = (sum(map(abs, h._terms.values())) for h in (f, g))
         coefficient_bound = norm_f ** deg_g * norm_g ** deg_f
@@ -522,14 +587,14 @@ class _Packing:
         """Bit size of the packed resultant: digits times digit width."""
         return self.box * 8 * self.width
 
-    def _index(self, exps: Exponents) -> int:
-        return sum(exps[v] * w for v, w in zip(self.slots, self.weights))
+    def _index(self, key: int) -> int:
+        return sum((key >> shift & _FIELD) * w for shift, w in zip(self.shifts, self.weights))
 
     def evaluate(self, poly: MultiPoly) -> list[int]:
         """Coefficients of ``poly`` in the elimination variable, descending,
         each evaluated at z = 2^b."""
         width = self.width
-        coefficients = poly.coefficient_list(VARIABLES[self.var])
+        coefficients = poly.coefficient_list(self.var)
         out = []
         for coefficient in reversed(coefficients):
             packed = [(self._index(e), c) for e, c in coefficient._terms.items()]
@@ -560,7 +625,7 @@ class _Packing:
         data = magnitude.to_bytes(count * width, "little")
         zero_digit = bytes(width)
         sign = -1 if value < 0 else 1
-        terms: dict[Exponents, int] = {}
+        terms: dict[int, int] = {}
         carry = 0
         for k in range(count):
             chunk = data[k * width:(k + 1) * width]
@@ -573,16 +638,14 @@ class _Packing:
             if digit == -half:
                 raise _bound_failure()
             if digit:
-                exps = [0, 0, 0, 0, 0]
-                rest = k
-                for v, w in zip(self.slots, self.weights):
-                    exps[v], rest = divmod(rest, w)
-                terms[tuple(exps)] = sign * digit
+                key, rest = 0, k
+                for shift, w in zip(self.shifts, self.weights):
+                    e, rest = divmod(rest, w)
+                    key |= e << shift
+                terms[key] = sign * digit
         if carry:
             raise _bound_failure()
-        result = MultiPoly()
-        result._terms = terms
-        return result
+        return MultiPoly._wrap(terms)
 
 
 def _bound_failure() -> RuntimeError:

@@ -127,11 +127,13 @@ def invariance_inequalities(
         raise ValueError(f"variety dimension q={c.q} is below the plane dimension p={w.p}")
     entries = []
     j_range = range(c.q - w.p + 1) if include_conditional else range(1)
+    # every index from the lowest denominator, q - p - max j, up to q, once
+    variety = {i: polar_degree_variety(c, i) for i in range(c.q - w.p - j_range[-1], c.q + 1)}
     for m in range(1, w.p + 1):
         web_factor = polar_degree_web(w, m)
         for j in j_range:
-            lhs = polar_degree_variety(c, c.q - w.p - j + m)
-            denominator = polar_degree_variety(c, c.q - w.p - j)
+            lhs = variety[c.q - w.p - j + m]
+            denominator = variety[c.q - w.p - j]
             rhs = denominator * web_factor
             vacuous = denominator == 0
             entries.append(

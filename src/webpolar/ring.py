@@ -15,6 +15,10 @@ comparing coefficient maps.  Coefficients are arbitrary-precision integers;
 the degree data fed through this ring grows like d*(d-1)^j and overflows
 fixed-width types quickly.
 
+``RingElement`` is a ``multipoly.SparsePoly`` in (h, c): it shares the
+lab's packed monomials and sparse arithmetic, and adds the reduction onto
+the box after every product.
+
 >>> h = hyperplane(2)
 >>> c = dual_hyperplane(2)
 >>> c * c == h * c - h * h
@@ -27,60 +31,53 @@ True
 
 from __future__ import annotations
 
-Monomial = tuple[int, int]  # (a, b) meaning h^a * c^b
+from .multipoly import _BITS, _FIELD, SparsePoly, _product
 
 
-def _check_dimension(n: int) -> int:
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"ambient projective dimension must be a positive integer, got {n!r}")
-    return n
+def _reduce(raw: dict[int, int], n: int) -> dict[int, int]:
+    """Rewrite a map of packed monomials h^a * c^b onto the canonical box.
 
-
-def _reduce(raw: dict[Monomial, int], n: int) -> dict[Monomial, int]:
-    """Rewrite an exponent map onto the canonical monomial box.
-
-    Powers c^b with b >= n are eliminated through
+    The relations are homogeneous and the box's top degree is 2n - 1, the
+    dimension of M, so monomials of degree a + b above that are zero, and
+    so are those with a > n.  Both are dropped first.  Powers c^b with
+    b >= n are then eliminated through
 
         c^n = sum_{i=0}^{n-1} (-1)^(n+1+i) * h^(n-i) * c^i,
 
-    which strictly lowers the c-exponent, so the loop terminates.  Monomials
-    with h-exponent above n are dropped immediately; substitution only ever
-    raises the h-exponent, so early dropping loses nothing.
+    which keeps the degree and lowers b, so one sweep over b from the top
+    down to n rewrites every such term once.  Terms with i < a would have
+    h-exponent above n, hence are zero and never made.
     """
-    work: dict[Monomial, int] = {}
-    for (a, b), value in raw.items():
-        if value == 0 or a > n or a < 0 or b < 0:
-            if a < 0 or b < 0:
-                raise ValueError(f"negative exponent in monomial h^{a}*c^{b}")
-            continue
-        work[(a, b)] = work.get((a, b), 0) + value
-    while True:
-        high = [key for key in work if key[1] >= n]
-        if not high:
-            break
-        a, b = max(high, key=lambda key: key[1])
-        value = work.pop((a, b))
-        if value == 0:
-            continue
-        # i < a would give h-exponent above n, hence zero
-        for i in range(a, n):
-            key = (a + n - i, b - n + i)
-            sign = -1 if (n + 1 + i) % 2 else 1
-            updated = work.get(key, 0) + sign * value
-            if updated:
-                work[key] = updated
-            else:
-                work.pop(key, None)
-    return {key: value for key, value in work.items() if value}
+    work = {}
+    for key, value in raw.items():
+        a = key >> _BITS
+        if value and a <= n and a + (key & _FIELD) < 2 * n:
+            work[key] = value
+    for b in range(max((key & _FIELD for key in work), default=0), n - 1, -1):
+        for a in range(min(n, 2 * n - 1 - b) + 1):
+            value = work.pop(a << _BITS | b, 0)
+            if not value:
+                continue
+            for i in range(a, n):
+                key = (a + n - i) << _BITS | (b - n + i)
+                updated = work.get(key, 0) + (-value if (n + i) % 2 == 0 else value)
+                if updated:
+                    work[key] = updated
+                else:
+                    del work[key]  # stored coefficients are nonzero
+    return work
 
 
-class RingElement:
-    """A ring element in canonical form.
+class RingElement(SparsePoly):
+    """A ring element in canonical form, a polynomial in h and c.
 
-    Construction accepts any exponent map (with nonnegative exponents) and
-    reduces it, so ``RingElement(n, {(0, n): 1})`` already returns the
-    rewritten power of the dual hyperplane class.  Values are immutable;
-    all operations return fresh elements.
+    Construction accepts any map from exponent pairs (a, b), meaning
+    h^a * c^b, to coefficients and reduces it, so ``RingElement(n, {(0, n): 1})``
+    already returns the rewritten power of the dual hyperplane class.  Sums,
+    differences, powers, equality and printing are those of
+    ``multipoly.SparsePoly``; a product is its product of term maps followed
+    by the reduction.  Values are immutable; all operations return fresh
+    elements.
 
     >>> u = RingElement(2, {(0, 2): 1})
     >>> sorted(u.coefficients().items())
@@ -89,130 +86,48 @@ class RingElement:
     True
     """
 
-    __slots__ = ("n", "_coeffs")
+    __slots__ = ("n",)
+    VARIABLES = ("h", "c")
 
-    def __init__(self, n: int, coeffs: dict[Monomial, int] | None = None):
-        self.n = _check_dimension(n)
-        self._coeffs = _reduce(coeffs, n) if coeffs else {}
+    def __init__(self, n: int, coeffs: dict[tuple[int, int], int] | None = None):
+        if not isinstance(n, int) or n < 1:
+            raise ValueError(f"ambient projective dimension must be a positive integer, got {n!r}")
+        self.n = n
+        self._terms = _reduce(self._packed(coeffs), n) if coeffs else {}
 
-    # -- construction helpers -------------------------------------------------
+    def _new(self, terms: dict[int, int]) -> "RingElement":
+        result = self._wrap(terms)
+        result.n = self.n
+        return result
 
-    def coefficients(self) -> dict[Monomial, int]:
-        """Copy of the canonical coefficient map."""
-        return dict(self._coeffs)
+    def _space(self) -> int:
+        return self.n
+
+    coefficients = SparsePoly.terms
 
     def coefficient(self, a: int, b: int) -> int:
-        return self._coeffs.get((a, b), 0)
-
-    # -- ring structure --------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, RingElement):
-            if other.n != self.n:
-                raise ValueError(f"ambient dimensions differ: {self.n} and {other.n}")
-            return other
-        if isinstance(other, int):
-            return RingElement(self.n, {(0, 0): other})
-        return None
-
-    def __add__(self, other):
-        return self._combine(other, 1)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        result = RingElement(self.n)
-        result._coeffs = {key: -value for key, value in self._coeffs.items()}
-        return result
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
-
-    def _combine(self, other, sign: int):
-        """self + sign * other, accumulated in one copy of self's map."""
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self._coeffs)
-        for key, value in other._coeffs.items():
-            updated = out.get(key, 0) + sign * value
-            if updated:
-                out[key] = updated
-            else:
-                del out[key]  # stored coefficients are nonzero
-        result = RingElement(self.n)
-        result._coeffs = out
-        return result
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return self._terms.get(self._key((a, b)), 0)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        raw: dict[Monomial, int] = {}
-        for (a1, b1), v1 in self._coeffs.items():
-            for (a2, b2), v2 in other._coeffs.items():
-                key = (a1 + a2, b1 + b2)
-                raw[key] = raw.get(key, 0) + v1 * v2
-        return RingElement(self.n, raw)
+        return self._new(_reduce(_product(self._terms, other._terms), self.n))
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"exponent must be a nonnegative integer, got {exponent!r}")
-        result = one(self.n)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            exponent >>= 1
-            if exponent:  # no square past the top bit: it would be the costliest
-                base = base * base
-        return result
-
-    # -- comparisons and inspection --------------------------------------------
-
-    def __eq__(self, other):
-        other = self._coerce(other) if isinstance(other, int) else other
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        return self.n == other.n and self._coeffs == other._coeffs
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self._coeffs.items())))
-
-    def __bool__(self):
-        return bool(self._coeffs)
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
     def homogeneous_degree(self) -> int | None:
         """Common total degree of all monomials, or None for 0 or mixed degree."""
-        degrees = {a + b for a, b in self._coeffs}
+        degrees = {a + b for a, b in self.terms()}
         if len(degrees) == 1:
             return degrees.pop()
         return None
 
-    def __str__(self):
-        items = sorted(
-            self._coeffs.items(),
-            key=lambda kv: (-(kv[0][0] + kv[0][1]), kv[0][0]),
-        )
-        from ._format import format_sum
-
-        terms = []
-        for (a, b), value in items:
-            factors = []
-            if a:
-                factors.append("h" if a == 1 else f"h^{a}")
-            if b:
-                factors.append("c" if b == 1 else f"c^{b}")
-            terms.append((value, "*".join(factors)))
-        return format_sum(terms)
+    @staticmethod
+    def _print_order(item):
+        """Higher total degree first, then lower powers of h."""
+        (a, b), _ = item
+        return -(a + b), a
 
     def __repr__(self):
         return f"RingElement(n={self.n}, {self})"

@@ -10,7 +10,7 @@ generic line, whose tangencies are all affine, read off the leading
 x-coefficient of F along that line without expanding the restriction, and
 the first polar locus through a symbolic generic point comes from
 eliminating the slope against the pencil of lines through that point.  The
-point's symbols live in the spare variable slots of ``MultiPoly``; nothing
+point's symbols live in the spare variables t and u of ``MultiPoly``; nothing
 is sampled and no measurement depends on a seed.  Sampled lines and points
 stay as independent references for the tests: ``tangency_with_line`` counts
 projectively, as the degree of the affine restriction plus the order of
@@ -38,7 +38,7 @@ from functools import cached_property
 from math import comb
 
 from .classes import WebCharNumbers
-from .multipoly import VARIABLES, MultiPoly, resultant, variables
+from .multipoly import _FIELD, MultiPoly, resultant, variables
 from .polar import hypersurface_degree_bound, polar_degree_web
 
 COEFFICIENT_SPAN = 999  # random integer samples are drawn from [-999, 999]
@@ -139,14 +139,14 @@ class ImplicitWeb:
         and p are reused for v and r.  Spurious powers of u introduced by
         the clearing are divided out, exactly like content.
         """
-        n_clear = max(e[0] + e[1] for e in self.f.terms())
+        n_clear = self.f.total_degree("x", "y")
         u = MultiPoly.variable("u")
         v = MultiPoly.variable("y")
         r = MultiPoly.variable("p")
         folded = v - u * r
         out = MultiPoly.sum(
             coeff * u ** (n_clear - alpha - beta) * v ** beta * folded ** gamma
-            for (alpha, beta, gamma, _, _), coeff in self.f.terms().items()
+            for (alpha, beta, gamma), coeff in self.f.terms_in("x", "y", "p")
         )
         saturation = out.min_degree("u")
         if saturation > 0:
@@ -161,18 +161,18 @@ class ImplicitWeb:
 
 def _specialise_mod(poly: MultiPoly, var: str, q: int, **point: int) -> list[int]:
     """poly as a polynomial in var over F_q, every other variable it uses at point."""
-    slot = VARIABLES.index(var)
     fixed = []
     for name, value in point.items():
         powers = [1]
         for _ in range(poly.degree(name)):
             powers.append(powers[-1] * value % q)
-        fixed.append((VARIABLES.index(name), powers))
+        fixed.append((poly._shift(name), powers))
+    shift = poly._shift(var)
     out = [0] * (poly.degree(var) + 1)
-    for exps, coeff in poly.terms().items():
-        for i, powers in fixed:
-            coeff *= powers[exps[i]]
-        out[exps[slot]] += coeff
+    for key, coeff in poly._terms.items():  # read straight off the packed monomials
+        for field, powers in fixed:
+            coeff *= powers[key >> field & _FIELD]
+        out[key >> shift & _FIELD] += coeff
     return _strip([c % q for c in reversed(out)])
 
 
@@ -302,11 +302,10 @@ def web_degree(web: ImplicitWeb) -> int:
     >>> web_degree(ImplicitWeb(p**2 - y)), web_degree(ImplicitWeb(x*p - y))
     (1, 0)
     """
-    terms = [(alpha, beta, gamma, coeff)
-             for (alpha, beta, gamma, _, _), coeff in web.f.terms().items()]
-    for d in range(max((alpha + beta for alpha, beta, _, _ in terms), default=-1), -1, -1):
+    terms = web.f.terms_in("x", "y", "p")
+    for d in range(max((alpha + beta for (alpha, beta, _), _ in terms), default=-1), -1, -1):
         coefficient: dict[tuple[int, int], int] = {}
-        for alpha, beta, gamma, coeff in terms:
+        for (alpha, beta, gamma), coeff in terms:
             if alpha <= d <= alpha + beta:
                 key = (d - alpha + gamma, alpha + beta - d)
                 coefficient[key] = coefficient.get(key, 0) + coeff * comb(beta, d - alpha)
@@ -490,7 +489,7 @@ def end_to_end_check(web: ImplicitWeb, curve: MultiPoly | None = None) -> WebRep
     degree = web_degree(web)
     numbers = WebCharNumbers(n=2, p=1, k=k, d=(k, degree))
     generic_polar = polar_curve(web, variables("t", "u"))
-    polar_deg = max(exps[0] + exps[1] for exps in generic_polar.terms())
+    polar_deg = generic_polar.total_degree("x", "y")
     bound = hypersurface_degree_bound(numbers).overall
     curve_fields = {}
     if curve is not None:

@@ -71,11 +71,11 @@ def test_criterion_1_ring_relations():
             xi = tautological_class(n)
             assert integrate(h ** n * c ** (n - 1)) == 1
             assert integrate(h ** (n - 1) * c ** n) == 1
-            assert (c ** (n + 1)).is_zero()
+            assert (c ** (n + 1)).is_zero
             relation = zero(n)
             for i in range(n + 1):
                 relation = relation + comb(n + 1, i + 1) * h ** (n - i) * xi ** i
-            assert relation.is_zero()
+            assert relation.is_zero
             assert integrate(xi ** (n - 1) * h ** n) == (-1) ** (n - 1)
             assert integrate(xi ** n * h ** (n - 1)) == (-1) ** n * (n + 1)
     _report(1, "ring relations and integrals exact for n = 1..8")

@@ -548,6 +548,7 @@ class TestRoundTrip:
     def test_any_polynomial(self, terms):
         poly = MultiPoly(terms)
         assert parse_poly_expr(str(poly), set(VARIABLES)) == poly
+        assert MultiPoly(poly.terms()) == poly
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(1, 8), coeffs=st.dictionaries(
@@ -557,6 +558,7 @@ class TestRoundTrip:
     def test_any_ring_element(self, n, coeffs):
         element = RingElement(n, coeffs)
         assert parse_ring_expr(str(element), n) == element
+        assert RingElement(n, element.coefficients()) == element
 
     def test_zero_round_trips(self):
         assert parse_poly_expr("0", {"x"}) == MultiPoly.zero()

@@ -196,6 +196,17 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             MultiPoly.variable("z")
 
+    @pytest.mark.parametrize("exps", [(0, 0, 0, 0), (0, 0, 0, 0, 0, 0), (-1, 0, 0, 0, 0),
+                                      (0, 0, 0, 0, 2 ** 63)])
+    def test_bad_exponent_tuple_rejected(self, exps):
+        with pytest.raises(ValueError):
+            MultiPoly({exps: 1})
+
+    def test_power_past_the_exponent_field_rejected(self):
+        assert (X ** (2 ** 62)).degree("x") == 2 ** 62
+        with pytest.raises(ValueError):
+            Y ** (2 ** 63)
+
 
 class TestExactDivision:
     def test_difference_of_squares(self):
@@ -217,6 +228,15 @@ class TestExactDivision:
     def test_zero_divisor_rejected(self):
         with pytest.raises(ZeroDivisionError):
             X.try_exact_div(MultiPoly.zero())
+
+    @pytest.mark.parametrize("dividend,divisor", [
+        ("x", "u"), ("x^2*y", "x*y^2"), ("x*t", "t^2"),
+    ])
+    def test_divisor_larger_only_in_a_less_significant_field(self, dividend, divisor):
+        # the packed difference of the monomials is positive, but it borrows
+        # from the more significant field
+        names = set("xyptu")
+        assert parse_poly_expr(dividend, names).try_exact_div(parse_poly_expr(divisor, names)) is None
 
     @settings(max_examples=300, deadline=None)
     @given(f=st.builds(MultiPoly, _TERM_MAPS), g=st.builds(MultiPoly, _TERM_MAPS))
