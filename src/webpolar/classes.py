@@ -165,11 +165,6 @@ def char_numbers_from_web_class(
     return WebCharNumbers(n=s.n, p=p, k=d[0], d=d)
 
 
-def degree_of_variety(c: CharNumbers) -> int:
-    """deg V = a_(n-q) + a_(n-q-1), with a_0 = 0."""
-    return c.coeff(c.n - c.q) + c.coeff(c.n - c.q - 1)
-
-
 def pencil_class(i: int, n: int) -> RingElement:
     """Class of the hyperplanes containing a fixed codimension-i linear space.
 

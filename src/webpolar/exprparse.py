@@ -15,11 +15,11 @@ h and c (c standing in for the dual hyperplane class, which has no keyboard
 spelling); web polynomials use x, y and p.  Every printed canonical form
 re-parses to the same value.
 
-The reader evaluates while it parses.  A product of literals and variable
-powers stays one (packed monomial, coefficient) pair, in the layout of
-``multipoly.SparsePoly``, and a sum adds its terms into one map from packed
-monomials to coefficients; only parenthesised groups and their powers go
-through the ring's arithmetic.
+The reader evaluates while it parses, in the ring of the zero it is given.
+A product of literals and variable powers stays one (packed monomial,
+coefficient) pair, as in ``multipoly.SparsePoly``; a sum adds its terms into
+one raw map, which the ring's ``_normal`` turns into a value.  Only groups
+in parentheses and their powers go through the ring's arithmetic.
 One compiled regex splits the input in one linear scan.  Whitespace is
 skipped between its matches, never matched by a '\\s*' prefix, which would
 backtrack quadratically on a long run of blanks.
@@ -34,7 +34,7 @@ Inputs come from the command line, so the reader bounds what it accepts
                         per level, so this keeps it far from the
                         interpreter's recursion limit
     MAX_EXPONENT        value of an exponent after '^'
-    MAX_EXPANDED_TERMS  terms a polynomial product or power may reach,
+    MAX_EXPANDED_TERMS  terms a product or power may reach,
                         checked before it is expanded: T_a * T_b for a
                         product a * b, and prod_v (e * deg_v(a) + 1) for a
                         power a^e
@@ -45,9 +45,9 @@ the expansion bound.  Errors come out as if the input were tokenized,
 parsed and evaluated in turn: a lexical error anywhere wins over a syntax
 error, and a syntax error anywhere over an expansion refusal.  Sums and
 products are read in loops, so their length is bounded by MAX_SOURCE_LENGTH
-alone.  The expansion bound also bounds the work: a product takes T_a * T_b
-term pairs, and a power by squaring in x, y and p about
-MAX_EXPANDED_TERMS^2 / 64.
+alone.  The expansion bound bounds the work of each operation, not of a
+whole expression: a product takes T_a * T_b term pairs, and a power by
+squaring in x, y and p about MAX_EXPANDED_TERMS^2 / 64.
 """
 
 from __future__ import annotations
@@ -90,13 +90,12 @@ def _lexical_error(token: str) -> str | None:
 class _Reader:
     """Recursive descent over the tokens of ``source``, evaluating as it goes.
 
-    ``shifts`` maps each variable to the shift of its field in a packed
-    monomial; ``make`` builds an element from a map of packed monomials to
-    coefficients (zero coefficients allowed).  ``capped`` turns on the
-    MAX_EXPANDED_TERMS checks.
+    Values are built in the ring of ``zero``, from raw maps of packed
+    monomials to coefficients through its ``_normal``; ``names`` are the
+    variables the source may use.
     """
 
-    def __init__(self, source: str, shifts: dict, make, capped: bool):
+    def __init__(self, source: str, zero, names):
         if len(source) > MAX_SOURCE_LENGTH:
             raise ParseError(f"input longer than {MAX_SOURCE_LENGTH} characters", 1, 1)
         self.source = source
@@ -104,9 +103,8 @@ class _Reader:
         self.tokens.append("")  # end of input
         self.index = 0
         self.depth = 0
-        self.shifts = shifts
-        self.make = make
-        self.capped = capped
+        self.zero = zero
+        self.shifts = {name: zero._shift(name) for name in names}
         self.refused = None  # the first expansion refusal, raised after parsing
 
     def read(self):
@@ -117,6 +115,9 @@ class _Reader:
         if self.refused is not None:
             raise self.refused
         return self.make(value)
+
+    def make(self, raw: dict):
+        return self.zero._new(self.zero._normal(raw))
 
     def position(self, index: int) -> tuple[int, int]:
         """Line and column of token ``index``; the end of input past the last."""
@@ -195,7 +196,7 @@ class _Reader:
                 self.fail(f"unknown variable {token!r} (expected one of: {expected})")
             else:
                 self.fail(f"expected a number, variable or '(', found {token or 'end of input'!r}")
-            refused = star is not None and self.capped and not self.allow(count * right, star)
+            refused = star is not None and not self.allow(count * right, star)
             if token == "(" and not refused:
                 poly = group if poly is None else poly * group
                 count = len(poly._terms)
@@ -227,12 +228,11 @@ class _Reader:
         exponent = self.exponent()
         if exponent is None:
             return value
-        if self.capped:
-            bound = 1
-            for name in self.shifts:
-                bound *= exponent * max(value.degree(name), 0) + 1
-            if not self.allow(bound, caret):
-                return value
+        bound = 1
+        for name in self.shifts:
+            bound *= exponent * max(value.degree(name), 0) + 1
+        if not self.allow(bound, caret):
+            return value
         return value ** exponent
 
     def exponent(self) -> int | None:
@@ -261,20 +261,13 @@ class _Reader:
 
 def parse_ring_expr(source: str, n: int):
     """Parse and evaluate a ring expression in h and c."""
-    from .ring import RingElement, _reduce
+    from .ring import RingElement
 
-    return _Reader(
-        source, RingElement._SHIFTS, lambda raw: RingElement(n)._new(_reduce(raw, n)),
-        capped=False,
-    ).read()
+    return _Reader(source, RingElement(n), RingElement.VARIABLES).read()
 
 
 def parse_poly_expr(source: str, allowed: set[str]):
     """Parse and evaluate a polynomial expression over the given variables."""
     from .multipoly import MultiPoly
 
-    shifts = {name: MultiPoly._shift(name) for name in allowed}
-    return _Reader(
-        source, shifts, lambda raw: MultiPoly._wrap({k: c for k, c in raw.items() if c}),
-        capped=True,
-    ).read()
+    return _Reader(source, MultiPoly(), allowed).read()

@@ -86,7 +86,9 @@ class SparsePoly:
 
     Zero coefficients are never stored, so equality is plain map equality.
     A subclass names its variables in ``VARIABLES``; one that keeps more
-    state carries it to results in ``_new`` and compares it in ``_space``.
+    state carries it to results in ``_new`` and compares it in ``_space``,
+    and one with relations rewrites a raw term map in ``_normal``.
+    ``degree`` bounds the exponents a power may reach.
     """
 
     __slots__ = ("_terms",)
@@ -143,6 +145,10 @@ class SparsePoly:
     # subclass with more state overrides it to carry that state along
     _new = _wrap
 
+    def _normal(self, raw: dict[int, int]) -> dict[int, int]:
+        """The normal form of a map of packed monomials: zeros dropped."""
+        return {key: coeff for key, coeff in raw.items() if coeff}
+
     def _space(self):
         """What besides the class fixes an element's ring; rings never mix."""
         return None
@@ -157,6 +163,11 @@ class SparsePoly:
     def terms(self) -> dict[tuple[int, ...], int]:
         """The map from exponent tuples, one entry per variable, to coefficients."""
         return dict(self.terms_in(*self.VARIABLES))
+
+    def degree(self, var: str) -> int:
+        """Degree in one variable; -1 for zero."""
+        shift = self._shift(var)
+        return max((key >> shift & _FIELD for key in self._terms), default=-1)
 
     # -- arithmetic --------------------------------------------------------------
 
@@ -195,7 +206,7 @@ class SparsePoly:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {exponent!r}")
-        top = max(map(max, self.terms()), default=0)
+        top = max(map(self.degree, self.VARIABLES), default=0)
         if top * exponent >= _LIMIT:
             raise ValueError(f"power {exponent} takes an exponent past 2^63")
         result = self._new({0: 1})
@@ -313,11 +324,6 @@ class MultiPoly(SparsePoly):
     __rmul__ = __mul__
 
     # -- inspection --------------------------------------------------------------
-
-    def degree(self, var: str) -> int:
-        """Degree in one variable; -1 for the zero polynomial."""
-        shift = self._shift(var)
-        return max((key >> shift & _FIELD for key in self._terms), default=-1)
 
     def min_degree(self, var: str) -> int:
         """Least exponent of ``var`` across all terms; -1 for zero."""

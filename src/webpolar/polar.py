@@ -31,7 +31,7 @@ def _check_consistent(value: int, expected: int, *context) -> None:
 
 
 def polar_degree_variety(c: CharNumbers, j: int) -> int:
-    """Degree of the j-th polar class: a_(n-q+j) + a_(n-q+j-1).
+    """Degree of the j-th polar class: a_(n-q+j) + a_(n-q+j-1), deg V at j = 0.
 
     The closed form is re-derived by exact integration in the ring and the
     two routes are required to agree.

@@ -16,8 +16,9 @@ the degree data fed through this ring grows like d*(d-1)^j and overflows
 fixed-width types quickly.
 
 ``RingElement`` is a ``multipoly.SparsePoly`` in (h, c): it shares the
-lab's packed monomials and sparse arithmetic, and adds the reduction onto
-the box after every product.
+lab's packed monomials and sparse arithmetic, and its normal form is the
+reduction onto the box, applied after every product.  The dimension n is
+at most MAX_DIMENSION, as the cost of every ring operation grows with n.
 
 >>> h = hyperplane(2)
 >>> c = dual_hyperplane(2)
@@ -32,6 +33,8 @@ True
 from __future__ import annotations
 
 from .multipoly import _BITS, _FIELD, SparsePoly, _product
+
+MAX_DIMENSION = 100
 
 
 def _reduce(raw: dict[int, int], n: int) -> dict[int, int]:
@@ -90,10 +93,10 @@ class RingElement(SparsePoly):
     VARIABLES = ("h", "c")
 
     def __init__(self, n: int, coeffs: dict[tuple[int, int], int] | None = None):
-        if not isinstance(n, int) or n < 1:
-            raise ValueError(f"ambient projective dimension must be a positive integer, got {n!r}")
+        if not isinstance(n, int) or not 1 <= n <= MAX_DIMENSION:
+            raise ValueError(f"ambient projective dimension {n!r} is not in 1..{MAX_DIMENSION}")
         self.n = n
-        self._terms = _reduce(self._packed(coeffs), n) if coeffs else {}
+        self._terms = self._normal(self._packed(coeffs)) if coeffs else {}
 
     def _new(self, terms: dict[int, int]) -> "RingElement":
         result = self._wrap(terms)
@@ -102,6 +105,9 @@ class RingElement(SparsePoly):
 
     def _space(self) -> int:
         return self.n
+
+    def _normal(self, raw: dict[int, int]) -> dict[int, int]:
+        return _reduce(raw, self.n)
 
     coefficients = SparsePoly.terms
 
@@ -112,7 +118,7 @@ class RingElement(SparsePoly):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self._new(_reduce(_product(self._terms, other._terms), self.n))
+        return self._new(self._normal(_product(self._terms, other._terms)))
 
     __rmul__ = __mul__
 

@@ -432,13 +432,11 @@ def is_invariant(web: ImplicitWeb, curve: MultiPoly) -> bool:
         raise ValueError("curve polynomial is constant")
     if not curve.derivative("y").is_zero:
         return _invariance_core(web.f.coefficient_list("p"), curve)
-    if not curve.derivative("x").is_zero:
-        # reciprocal slope: coefficients reversed, chart roles exchanged
-        swapped = [a.swap_xy() for a in reversed(web.f.coefficient_list("p"))]
-        while len(swapped) > 1 and swapped[-1].is_zero:
-            swapped.pop()
-        return _invariance_core(swapped, curve.swap_xy())
-    raise ValueError("curve has vanishing gradient; not reduced")
+    # C is in x alone: reciprocal slope, coefficients reversed, chart roles exchanged
+    swapped = [a.swap_xy() for a in reversed(web.f.coefficient_list("p"))]
+    while len(swapped) > 1 and swapped[-1].is_zero:
+        swapped.pop()
+    return _invariance_core(swapped, curve.swap_xy())
 
 
 @dataclass(frozen=True)

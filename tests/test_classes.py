@@ -11,7 +11,6 @@ from webpolar.classes import (
     WebCharNumbers,
     char_numbers_from_web_class,
     conormal_linear,
-    degree_of_variety,
     pencil_class,
     smooth_hypersurface_char_numbers,
     twist_degree,
@@ -19,6 +18,7 @@ from webpolar.classes import (
     web_char_integrals,
     web_class,
 )
+from webpolar.polar import polar_degree_variety
 from webpolar.ring import RingElement, dual_hyperplane, hyperplane, integrate, monomial
 
 
@@ -145,11 +145,11 @@ class TestWebClass:
 class TestDegreeOfVariety:
     def test_point(self):
         c = CharNumbers(n=3, q=0, a=(0, 0, 1))
-        assert degree_of_variety(c) == 1
+        assert polar_degree_variety(c, 0) == 1
 
     def test_two_term_sum_on_plane_curve_vector(self):
         c = CharNumbers(n=2, q=1, a=(2, 2))
-        assert degree_of_variety(c) == 2
+        assert polar_degree_variety(c, 0) == 2
 
     def test_matches_ring_integral(self):
         rng = random.Random(5)
@@ -163,7 +163,7 @@ class TestDegreeOfVariety:
                     * hyperplane(n) ** q
                     * dual_hyperplane(n) ** (n - q - 1)
                 )
-                assert degree_of_variety(c) == direct
+                assert polar_degree_variety(c, 0) == direct
 
 
 class TestPencilClass:

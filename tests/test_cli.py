@@ -228,6 +228,17 @@ class TestVerdictsAndExitCodes:
         assert out == ""
         assert err.startswith("webpolar: error:") and "Traceback" not in err
 
+    def test_dimension_past_the_cap_exits_one(self, capsys):
+        code, out, err = run(capsys, "ring", "--n", "101", "h")
+        assert (code, out) == (1, "")
+        assert err == "webpolar: error: ambient projective dimension 101 is not in 1..100\n"
+
+    def test_ring_expansion_past_the_cap_exits_one(self, capsys):
+        code, out, err = run(capsys, "ring", "--n", "100", "(h+c+1)^400")
+        assert (code, out) == (1, "")
+        assert err == ("webpolar: parse error: line 1, column 8: expansion may reach "
+                       "160801 terms, more than 10000\n")
+
     def test_slope_degree_past_the_cap_exits_one(self, capsys):
         code, out, err = run(capsys, "web", "--f", "p^1000 - x", "--seed", "1")
         assert (code, out) == (1, "")

@@ -507,12 +507,45 @@ class TestLimits:
         assert err.value.column == len(side) + 3
         assert f"more than {MAX_EXPANDED_TERMS}" in str(err.value)
 
-    def test_ring_expressions_are_not_capped(self):
+    def test_ring_power(self):
         assert parse_ring_expr("(h + c)^4", 2) == (hyperplane(2) + dual_hyperplane(2)) ** 4
 
     def test_long_ring_product_folds_into_one_monomial(self):
         # c^14000000 lies far above the top degree 2n - 1 = 31
         assert parse_ring_expr("*".join(["c^1000"] * 14000), 16) == zero(16)
+
+
+# each reader on two variables; at n = 100 no ring relation touches these
+# expressions, so both readers must meet the bounds alike
+_READERS = {
+    "poly": (lambda source: parse_poly_expr(source, {"x", "y"}), "x", "y"),
+    "ring": (lambda source: parse_ring_expr(source, 100), "h", "c"),
+}
+
+
+@pytest.mark.parametrize("reader", _READERS.values(), ids=_READERS.keys())
+class TestOneReader:
+    def test_power_expansion_limit(self, reader):
+        parse, u, v = reader
+        # prod_v (e * deg_v(a) + 1) is 100^2 at the bound
+        assert len(parse(f"({u}*{v} + 1)^99").terms()) == 100
+        with pytest.raises(ParseError) as err:
+            parse(f"1 + ({u} + {v} + 1)^400")
+        assert (str(err.value), err.value.column) == (
+            "line 1, column 16: expansion may reach 160801 terms, more than 10000", 16
+        )
+
+    def test_product_expansion_limit(self, reader):
+        parse, u, v = reader
+        left = "+".join(f"{u}^{i}" for i in range(100))
+        right = "+".join(f"{v}^{i}" for i in range(100))
+        assert len(parse(f"({left})*({right})").terms()) == MAX_EXPANDED_TERMS
+        with pytest.raises(ParseError) as err:
+            parse(f"({left})*({right}+{u})")
+        column = len(left) + 3
+        assert (str(err.value), err.value.column) == (
+            f"line 1, column {column}: expansion may reach 10100 terms, more than 10000", column
+        )
 
 
 class TestRoundTrip:

@@ -10,7 +10,6 @@ from webpolar.classes import (
     CharNumbers,
     NegativeCharNumberWarning,
     WebCharNumbers,
-    degree_of_variety,
     pencil_class,
     smooth_hypersurface_char_numbers,
     variety_class,
@@ -40,12 +39,6 @@ def random_field(rng, n, p=None):
 
 
 class TestPolarDegreeVariety:
-    def test_index_zero_is_the_degree(self):
-        rng = random.Random(3)
-        for _ in range(30):
-            c = random_variety(rng, rng.randint(2, 6))
-            assert polar_degree_variety(c, 0) == degree_of_variety(c)
-
     def test_smooth_hypersurface_ladder(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NegativeCharNumberWarning)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from webpolar.exprparse import parse_ring_expr
 from webpolar.multipoly import MultiPoly
 from webpolar.ring import (
+    MAX_DIMENSION,
     RingElement,
     dual_hyperplane,
     hyperplane,
@@ -70,6 +71,12 @@ class TestReduction:
     def test_bad_dimension_rejected(self):
         with pytest.raises(ValueError):
             RingElement(0)
+
+    def test_dimension_cap(self):
+        n = MAX_DIMENSION
+        assert integrate(hyperplane(n) ** n * dual_hyperplane(n) ** (n - 1)) == 1
+        with pytest.raises(ValueError, match=f"not in 1..{MAX_DIMENSION}"):
+            RingElement(MAX_DIMENSION + 1)
 
     @pytest.mark.parametrize("exps", [(1,), (1, 0, 0), (2 ** 63, 0)])
     def test_bad_exponent_tuple_rejected(self, exps):
