@@ -11,6 +11,7 @@ conversions in both directions reduce to exact integrals in the ring.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -31,8 +32,20 @@ def _warn_negative(label: str, values) -> None:
             warnings.warn(
                 f"{label} vector has negative entry {value} at index {i}",
                 NegativeCharNumberWarning,
-                stacklevel=3,
+                stacklevel=_caller_level(),
             )
+
+
+def _caller_level() -> int:
+    """The warning stack level of the first caller outside this module.
+
+    A dataclass-generated ``__init__`` runs in this module's globals too, so
+    direct construction and ``from_vector`` both name the user's line.
+    """
+    level, frame = 2, sys._getframe(2)  # the frame that called _warn_negative
+    while frame is not None and frame.f_globals is globals():
+        level, frame = level + 1, frame.f_back
+    return level
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,8 @@ Inputs come from the command line, so the reader bounds what it accepts
                         checked before it is expanded: T_a * T_b for a
                         product a * b, and prod_v (e * deg_v(a) + 1) for a
                         power a^e
+    MAX_EXPANDED_TOTAL  the sum of those bounds, over every product and
+                        power of one expression whose bound is above 1
 
 A monomial factor has one term or none, and a power of a variable has at
 most MAX_EXPONENT + 1 terms, so only products and powers of groups can pass
@@ -45,9 +47,11 @@ the expansion bound.  Errors come out as if the input were tokenized,
 parsed and evaluated in turn: a lexical error anywhere wins over a syntax
 error, and a syntax error anywhere over an expansion refusal.  Sums and
 products are read in loops, so their length is bounded by MAX_SOURCE_LENGTH
-alone.  The expansion bound bounds the work of each operation, not of a
-whole expression: a product takes T_a * T_b term pairs, and a power by
-squaring in x, y and p about MAX_EXPANDED_TERMS^2 / 64.
+alone.  The per-operation bound bounds the work of each product or power:
+a product takes T_a * T_b term pairs, and a power by squaring in x, y and
+p about MAX_EXPANDED_TERMS^2 / 64.  The total bounds the whole expression,
+so a long sum of powers, each at the per-operation bound, is refused at
+the operation whose bound takes the total past MAX_EXPANDED_TOTAL.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ MAX_LITERAL_DIGITS = 4000
 MAX_NESTING_DEPTH = 100
 MAX_EXPONENT = 1000
 MAX_EXPANDED_TERMS = 10_000
+MAX_EXPANDED_TOTAL = 30_000
 
 # one token per match: an integer, a name, or any other non-space character
 _TOKEN = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|\S")
@@ -105,6 +110,7 @@ class _Reader:
         self.depth = 0
         self.zero = zero
         self.shifts = {name: zero._shift(name) for name in names}
+        self.expanded = 0  # the bounds of the expansions allowed so far
         self.refused = None  # the first expansion refusal, raised after parsing
 
     def read(self):
@@ -137,15 +143,22 @@ class _Reader:
     def allow(self, bound: int, index: int) -> bool:
         """Whether a product or power of up to ``bound`` terms may be expanded.
 
-        The first refusal is kept and raised once the whole input has
-        parsed; after it nothing is expanded.
+        Each expansion (``bound`` above 1) also counts ``bound`` against the
+        whole expression's MAX_EXPANDED_TOTAL.  The first refusal is kept and
+        raised once the whole input has parsed; after it nothing is expanded.
         """
-        if self.refused is None and bound > MAX_EXPANDED_TERMS:
-            self.refused = ParseError(
-                f"expansion may reach {bound} terms, more than {MAX_EXPANDED_TERMS}",
-                *self.position(index),
-            )
-        return self.refused is None
+        if self.refused is not None or bound <= 1:
+            return self.refused is None
+        self.expanded += bound
+        if bound > MAX_EXPANDED_TERMS:
+            message = f"expansion may reach {bound} terms, more than {MAX_EXPANDED_TERMS}"
+        elif self.expanded > MAX_EXPANDED_TOTAL:
+            message = (f"expansions may reach {self.expanded} terms in total, "
+                       f"more than {MAX_EXPANDED_TOTAL}")
+        else:
+            return True
+        self.refused = ParseError(message, *self.position(index))
+        return False
 
     def expr(self) -> dict:
         tokens = self.tokens

@@ -245,6 +245,18 @@ class TestVectorValidation:
         with pytest.warns(NegativeCharNumberWarning):
             WebCharNumbers(n=3, p=2, k=1, d=(1, -2, 0))
 
+    @pytest.mark.parametrize("build", [
+        lambda: CharNumbers(n=2, q=1, a=(1, -1)),
+        lambda: WebCharNumbers(n=3, p=2, k=1, d=(1, -2, 0)),
+        lambda: WebCharNumbers.from_vector(2, (1, -2)),
+    ], ids=["CharNumbers", "WebCharNumbers", "from_vector"])
+    def test_negative_entry_warning_names_the_caller(self, build):
+        # not the dataclass-generated __init__, whose file is "<string>"
+        with pytest.warns(NegativeCharNumberWarning) as caught:
+            build()
+        assert [w.filename for w in caught] == [__file__]
+        assert caught[0].lineno == build.__code__.co_firstlineno
+
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):
             CharNumbers(n=3, q=1, a=(1, 2))

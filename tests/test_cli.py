@@ -1,5 +1,6 @@
 """Command-line contract: golden JSON records, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -104,6 +105,25 @@ class TestGoldenRecords:
         assert completed.returncode == 0
         assert completed.stdout == (GOLDEN / "ring.json").read_bytes()
 
+    @pytest.mark.parametrize("name,expected_code,argv", GOLDEN_CASES)
+    def test_text_mode_exits_as_json_mode(self, capsys, name, expected_code, argv):
+        # one exit rule in main: the output format cannot change the status
+        text_argv = [arg for arg in argv if arg not in ("--format", "json")]
+        code, out, _ = run(capsys, *text_argv)
+        assert code == expected_code
+        assert out and not out.startswith("{")
+
+    def test_every_subcommand_has_format_and_a_golden(self):
+        # a new subcommand cannot ship without the shared wiring or a golden
+        actions = cli.build_parser()._actions
+        (sub,) = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
+        golden_commands = {argv[0] for _, _, argv in GOLDEN_CASES}
+        assert set(sub.choices) == golden_commands
+        for name, parser in sub.choices.items():
+            (fmt,) = [a for a in parser._actions if "--format" in a.option_strings]
+            assert fmt.choices == ("text", "json") and fmt.default == "text"
+            assert parser._actions[-1] is fmt, name
+
     def test_schema_field_order(self, capsys):
         _, out, _ = run(capsys, "ring", "--n", "2", "h", "--format", "json")
         record = json.loads(out)
@@ -159,6 +179,12 @@ class TestVerdictsAndExitCodes:
         record = json.loads(out)
         assert record["verdict"] == "INVARIANT"
         assert record["results"]["bound_check"] == "violated"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("f,curve", [("p^2 - x", "y"), ("x*p - 5*y", "y - x^5")],
+                             ids=["not-invariant", "violated"])
+    def test_web_exit_two_in_both_formats(self, capsys, fmt, f, curve):
+        assert run(capsys, "web", "--f", f, "--curve", curve, "--format", fmt)[0] == 2
 
     def test_parse_error_exits_one(self, capsys):
         code, _, err = run(capsys, "ring", "--n", "2", "h^^2")
@@ -287,6 +313,22 @@ class TestLongestInputs:
         )
         assert completed.returncode in (0, 1)
         assert len(completed.stderr.splitlines()) <= 1
+
+    @pytest.mark.parametrize("argv", [
+        ["web", "--f", "+".join(["(x+y+1)^60"] * 9000)],
+        ["ring", "--n", "100", "+".join(["(h+c+1)^60"] * 9000)],
+    ], ids=["web", "ring"])
+    def test_sum_of_powers_is_refused_promptly(self, argv):
+        # each power is within the per-operation bound; without the total
+        # the 9,000 of them would take some 25 minutes
+        env = dict(os.environ, PYTHONPATH=str(Path(webpolar.__file__).parent.parent))
+        completed = subprocess.run(
+            [sys.executable, "-m", "webpolar", *argv],
+            capture_output=True, text=True, env=env, timeout=20,
+        )
+        assert (completed.returncode, completed.stdout) == (1, "")
+        assert completed.stderr == ("webpolar: parse error: line 1, column 96: expansions may "
+                                    "reach 33489 terms in total, more than 30000\n")
 
 
 _SMALL = st.integers(-2, 6).map(str)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from webpolar.exprparse import (
     MAX_EXPANDED_TERMS,
+    MAX_EXPANDED_TOTAL,
     MAX_EXPONENT,
     MAX_LITERAL_DIGITS,
     MAX_NESTING_DEPTH,
@@ -25,7 +26,7 @@ from webpolar.exprparse import (
     parse_ring_expr,
 )
 from webpolar.multipoly import VARIABLES, MultiPoly, variables
-from webpolar.ring import RingElement, dual_hyperplane, hyperplane, zero
+from webpolar.ring import MAX_DIMENSION, RingElement, dual_hyperplane, hyperplane, zero
 
 X, Y, P = variables("x", "y", "p")
 
@@ -71,6 +72,7 @@ class Pow:
     base: object
     exponent: int
     position: tuple[int, int] = field(compare=False)  # line and column of the '^'
+    group: bool = field(compare=False)  # whether the base is in parentheses
 
 
 @dataclass(frozen=True)
@@ -171,6 +173,7 @@ class _Parser:
         return node
 
     def factor(self):
+        group = self.peek().kind == "op" and self.peek().text == "("
         node = self.base()
         if self.peek().kind == "op" and self.peek().text == "^":
             caret = self.advance()
@@ -183,7 +186,7 @@ class _Parser:
             if exponent > MAX_EXPONENT:
                 self.fail(f"exponent larger than {MAX_EXPONENT}", token)
             self.advance()
-            node = Pow(node, exponent, (caret.line, caret.column))
+            node = Pow(node, exponent, (caret.line, caret.column), group)
         return node
 
     def base(self):
@@ -255,27 +258,48 @@ def evaluate(node, env: dict, const, check=None):
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def expansion_check(names):
+    """The reader's expansion bounds as a ``check`` for ``evaluate``.
+
+    A product, or a power of a group, may reach MAX_EXPANDED_TERMS terms, and
+    the bounds above 1 may add up to MAX_EXPANDED_TOTAL per expression.  A
+    power of a variable or literal stays a monomial and is not counted.
+    """
+    total = 0
+
+    def check(node, left, right):
+        nonlocal total
+        if isinstance(node, Pow):
+            if not node.group:
+                return
+            bound = prod(right * max(left.degree(name), 0) + 1 for name in names)
+        else:
+            bound = len(left.terms()) * len(right.terms())
+        if bound <= 1:
+            return
+        total += bound
+        if bound > MAX_EXPANDED_TERMS:
+            message = f"expansion may reach {bound} terms, more than {MAX_EXPANDED_TERMS}"
+        elif total > MAX_EXPANDED_TOTAL:
+            message = (f"expansions may reach {total} terms in total, "
+                       f"more than {MAX_EXPANDED_TOTAL}")
+        else:
+            return
+        raise ParseError(message, *node.position)
+
+    return check
+
+
 def reference_ring_expr(source: str, n: int):
     node = parse_expr(source, {"h", "c"})
     env = {"h": hyperplane(n), "c": dual_hyperplane(n)}
-    return evaluate(node, env, lambda v: RingElement(n, {(0, 0): v}))
+    return evaluate(node, env, lambda v: RingElement(n, {(0, 0): v}), expansion_check("hc"))
 
 
 def reference_poly_expr(source: str, allowed: set[str]):
-    def check_expansion(node, left, right):
-        if isinstance(node, Pow):
-            bound = prod(right * max(left.degree(name), 0) + 1 for name in allowed)
-        else:
-            bound = len(left.terms()) * len(right.terms())
-        if bound > MAX_EXPANDED_TERMS:
-            raise ParseError(
-                f"expansion may reach {bound} terms, more than {MAX_EXPANDED_TERMS}",
-                *node.position,
-            )
-
     node = parse_expr(source, allowed)
     env = {name: MultiPoly.variable(name) for name in allowed}
-    return evaluate(node, env, MultiPoly.const, check_expansion)
+    return evaluate(node, env, MultiPoly.const, expansion_check(allowed))
 
 
 def outcome(parse, *args):
@@ -304,6 +328,19 @@ def random_expression(rng: random.Random, names: list[str], depth: int = 4) -> s
     if shape == 3:
         return f"(-{left})"
     return f"(-{left} + {right})"
+
+
+def budget_expression(rng: random.Random, u: str, v: str) -> str:
+    """A sum of products of powers of one-variable groups whose expansion
+    bounds add up to near MAX_EXPANDED_TOTAL, on either side of it; now and
+    then one product passes MAX_EXPANDED_TERMS."""
+    target = rng.randint(MAX_EXPANDED_TOTAL * 2 // 3, MAX_EXPANDED_TOTAL * 4 // 3)
+    pieces, total = [], 0
+    while total < target:
+        a, b = rng.randint(30, 101), rng.randint(30, 101)
+        total += (a + 2) * (b + 2) - 1  # two powers and their product
+        pieces.append(f"({u} + {rng.randint(1, 3)})^{a}*({v} - {rng.randint(1, 3)})^{b}")
+    return " + ".join(pieces)
 
 
 _MUTATION_ALPHABET = "xyphc_a09+-*^() \n\t$\u00b2\u0663\u00e9\u00a0"
@@ -426,6 +463,21 @@ class TestAgainstTheReference:
         source = rng.choice(["", "-"]) + random_expression(rng, ["h", "c"])
         assert parse_ring_expr(source, n) == reference_ring_expr(source, n)
 
+    # fixed seeds, not hypothesis: a draw costs up to ~0.2 s, so shrinking
+    # a failure would take many minutes
+    @pytest.mark.parametrize("seed", range(20))
+    def test_ring_values_at_the_bounds(self, seed):
+        # at n = 100 a ring value has as many terms as a polynomial in two
+        # variables, so these sums reach both expansion bounds
+        source = budget_expression(random.Random(seed), "h", "c")
+        assert (outcome(parse_ring_expr, source, MAX_DIMENSION)
+                == outcome(reference_ring_expr, source, MAX_DIMENSION))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_polynomial_values_at_the_bounds(self, seed):
+        source = budget_expression(random.Random(seed), "x", "y")
+        assert outcome(parse_poly_expr, source, _WEB) == outcome(reference_poly_expr, source, _WEB)
+
     @settings(max_examples=500, deadline=None)
     @given(rng=st.randoms(use_true_random=False))
     def test_polynomial_errors(self, rng):
@@ -438,14 +490,25 @@ class TestAgainstTheReference:
         source = mutate(rng, random_expression(rng, ["h", "c", "x"]))
         assert outcome(parse_ring_expr, source, 3) == outcome(reference_ring_expr, source, 3)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_ring_errors_at_the_bounds(self, seed):
+        rng = random.Random(seed)
+        source = mutate(rng, budget_expression(rng, "h", "c"))
+        assert (outcome(parse_ring_expr, source, MAX_DIMENSION)
+                == outcome(reference_ring_expr, source, MAX_DIMENSION))
+
     @pytest.mark.parametrize("source", [
         "(x + y + p)^200", "1 + (x+y+p)^20*(x+y+p)^2", "(x^100*y^100*p^100)^1",
         "0*(x+y+p)^30*(x+y+p)^30", "(x+y+p)^30*0", "(x+y+p)^20*(x-x)*(x+y+p)^20",
         "2*((x+1)^100*(y+1)^98 + p^2 + p^3)",  # a sum of 10,001 terms is not capped
         "((x+1)^100*(y+1)^98 + p^2 + p^3)*0",
         "(x+y+p)^30*(x+y+p)^30 + (x+y+p)^200",
+        "(x+y+1)^50 + " * 11 + "(x+y+1)^50",  # 12 * 2601 = 31,212 in total
+        " + ".join(["(x+1)^99*(y+1)^99"] * 3),  # the third '*' crosses the total
+        "(x+1)^99*(y+1)^99*(p+1)^2 + (x+y+p)^30",
     ], ids=["power", "product", "power-one", "zero-first", "zero-last", "zero-group",
-            "long-group", "long-group-times-zero", "first-refusal"])
+            "long-group", "long-group-times-zero", "first-refusal", "total-of-powers",
+            "total-of-products", "per-operation-first"])
     def test_expansion_refusals(self, source):
         assert outcome(parse_poly_expr, source, _WEB) == outcome(reference_poly_expr, source, _WEB)
 
@@ -546,6 +609,34 @@ class TestOneReader:
         assert (str(err.value), err.value.column) == (
             f"line 1, column {column}: expansion may reach 10100 terms, more than 10000", column
         )
+
+    def test_expansion_total(self, reader):
+        parse, u, v = reader
+        left = "+".join(f"{u}^{i}" for i in range(100))
+        right = "+".join(f"{v}^{i}" for i in range(100))
+        # three products at the per-operation bound reach the total exactly
+        at_total = " + ".join([f"({left})*({right})"] * 3)
+        assert 3 * MAX_EXPANDED_TERMS == MAX_EXPANDED_TOTAL
+        assert len(parse(at_total).terms()) == MAX_EXPANDED_TERMS
+        with pytest.raises(ParseError) as err:
+            parse(f"{at_total} + ({u} + 1)*({v} + 1) + ({u} + {v})^2")
+        column = len(at_total) + 11  # the last "*"
+        assert (str(err.value), err.value.column) == (
+            f"line 1, column {column}: expansions may reach 30004 terms in total, "
+            "more than 30000", column
+        )
+
+    def test_total_refusal_comes_after_syntax_and_lexical_errors(self, reader):
+        parse, u, v = reader
+        crossing = " + ".join([f"({u} + {v} + 1)^40*({u} - 1)^2"] * 8)  # 4,267 each
+        with pytest.raises(ParseError, match="in total"):
+            parse(crossing + " + 1")
+        with pytest.raises(ParseError) as err:
+            parse(crossing + " + )")
+        assert "found ')'" in str(err.value)
+        with pytest.raises(ParseError) as err:
+            parse(crossing + " + ) $")
+        assert "unexpected character '$'" in str(err.value)
 
 
 class TestRoundTrip:
