@@ -138,6 +138,8 @@ def _cmd_check(args):
 def _cmd_bound(args):
     d = _int_vector(args.d, "--d")
     p = len(d) - 1
+    if p < 1:
+        raise ValueError(f"--d needs at least d_0,d_1, got {args.d!r}")
     n = args.n if args.n is not None else p + 1
     w = WebCharNumbers.from_vector(n, d, args.k)
     bounds = hypersurface_degree_bound(w)
@@ -166,7 +168,7 @@ def _cmd_web(args):
         f"degree: {report.degree}",
         f"polar curve degree: {report.polar_curve_degree}"
         f" (expected {report.polar_curve_expected})"
-        f" {'ok' if report.polar_check_ok else 'MISMATCH'}",
+        f" {'ok' if report.polar_check else 'MISMATCH'}",
         f"degree bound: {report.degree_bound}",
     ]
     if report.curve_degree is not None:

@@ -395,14 +395,6 @@ class MultiPoly(SparsePoly):
         """Evaluate at an integer point assigning every used variable."""
         return self.substitute(**point).constant_value()
 
-    def swap_xy(self) -> "MultiPoly":
-        sx, sy = self._SHIFTS["x"], self._SHIFTS["y"]
-        out = {}
-        for key, coeff in self._terms.items():
-            ex, ey = key >> sx & _FIELD, key >> sy & _FIELD
-            out[key + (ey - ex << sx) + (ex - ey << sy)] = coeff
-        return self._new(out)
-
     # -- exact division ------------------------------------------------------------
 
     def content(self) -> int:

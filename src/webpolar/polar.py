@@ -192,6 +192,11 @@ class DegreeBounds:
 
 def hypersurface_degree_bound(w: WebCharNumbers) -> DegreeBounds:
     """Solve (d-1)^m <= d_m + d_(m-1) exactly for every m in 1..p."""
-    bounds = tuple(1 + integer_root(w.d[m] + w.d[m - 1], m) for m in range(1, w.p + 1))
+    sums = [w.d[m] + w.d[m - 1] for m in range(1, w.p + 1)]
+    for m, total in enumerate(sums, start=1):
+        if total < 0:
+            raise ValueError(f"d_{m} + d_{m - 1} = {total} is negative, so no degree"
+                             f" d >= 1 satisfies (d-1)^{m} <= {total}")
+    bounds = tuple(1 + integer_root(total, m) for m, total in enumerate(sums, start=1))
     _check_consistent(bounds[0], w.k + w.d[1] + 1, "m=1 bound vs k + d_1 + 1", w)
     return DegreeBounds(per_m=bounds, overall=min(bounds))

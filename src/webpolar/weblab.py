@@ -19,14 +19,15 @@ tangency at the line's point at infinity, which a particular line can have.
 Two yes/no questions are first asked modulo the word-size prime
 CERTIFICATE_PRIME at fixed integer points (CERTIFICATE_POINTS, independent
 of any seed), and each answer is certified one-sidedly.  Validation: a
-nonzero residue of the univariate discriminant proves square-freeness, and
-only otherwise is the symbolic discriminant Res_p(F, F_p) computed; that
-resultant is cached on the web (``ImplicitWeb.discriminant``), so
+constant gcd of F and F_p modulo q at such a point proves square-freeness,
+and only otherwise is the symbolic discriminant Res_p(F, F_p) computed;
+that resultant is cached on the web (``ImplicitWeb.discriminant``), so
 ``discriminant_locus`` reuses it.  Invariance: a nonzero residue of the
 cleared numerator G modulo the curve C on a vertical line proves that C
 does not divide G, and only otherwise is G expanded and divided exactly,
-the one way to answer "invariant".  Both residues come from one small set
-of helpers for polynomials in one variable over F_q.
+the one way to answer "invariant".  A curve in x alone takes the same sum
+G, in the same chart.  The gcd and the residue come from one small set of
+helpers for polynomials in one variable over F_q.
 Slope degrees above MAX_SLOPE_DEGREE are refused before any of this.
 """
 
@@ -104,14 +105,15 @@ class ImplicitWeb:
         vanish modulo the prime q = CERTIFICATE_PRIME, specialisation and
         reduction keep the p-degrees of F and F_p (q > k), so the univariate
         Res_p(F(x0, y0, p), F_p(x0, y0, p)) mod q is the residue of the
-        symbolic discriminant's value there, and a nonzero residue shows
-        that the discriminant is a nonzero polynomial.  A point where the
-        leading coefficient vanishes mod q is skipped.  The residue costs
-        O(k^2) word-size operations, whatever the size of the coefficients.
-        A nonzero discriminant of total degree D vanishes on at most a
-        D / 1999 share of the sampling box (Schwartz-Zippel), and a nonzero
-        value is divisible by q rarely, so for square-free input the
-        symbolic fallback is rare.
+        symbolic discriminant's value there.  That residue is nonzero
+        exactly when gcd(F(x0, y0, p), F_p(x0, y0, p)) over F_q is constant,
+        and a nonzero residue shows that the discriminant is a nonzero
+        polynomial.  A point where the leading coefficient vanishes mod q
+        is skipped.  The gcd costs O(k^2) word-size operations, whatever
+        the size of the coefficients.  A nonzero discriminant of total
+        degree D vanishes on at most a D / 1999 share of the sampling box
+        (Schwartz-Zippel), and a nonzero value is divisible by q rarely, so
+        for square-free input the symbolic fallback is rare.
         """
         k = self.k
         q = CERTIFICATE_PRIME
@@ -120,7 +122,7 @@ class ImplicitWeb:
             if len(specialised) <= k:
                 continue
             derivative = [(k - i) * c % q for i, c in enumerate(specialised[:-1])]
-            if _resultant_mod(specialised, derivative, q):
+            if len(_gcd_mod(specialised, derivative, q)) == 1:
                 return True
         return False
 
@@ -216,25 +218,12 @@ def _rem_mod(f: list[int], g: list[int], q: int) -> list[int]:
     return _strip([c % q for c in r[m - n + 1:]])
 
 
-def _resultant_mod(f: list[int], g: list[int], q: int) -> int:
-    """Res(f, g) mod the prime q by the Euclidean remainder sequence over F_q.
-
-    f and g are nonzero polynomials over F_q with deg f >= deg g.  With
-    r = f mod g of degree d, Res(f, g) = (-1)^(deg f * deg g) *
-    lc(g)^(deg f - d) * Res(g, r); Res(f, c) = c^(deg f) for a constant c,
-    and Res(g, 0) = 0.
-    """
-    result = 1
+def _gcd_mod(f: list[int], g: list[int], q: int) -> list[int]:
+    """A gcd of f and g over F_q up to a unit, by Euclid's algorithm; it stops
+    at the first constant remainder, since a nonzero constant is a unit."""
     while len(g) > 1:
-        m, n = len(f) - 1, len(g) - 1
-        r = _rem_mod(f, g, q)
-        if not r:
-            return 0
-        if m * n % 2:
-            result = -result
-        result = result * pow(g[0], m - (len(r) - 1), q) % q
-        f, g = g, r
-    return result * pow(g[0], len(f) - 1, q) % q
+        f, g = g, _rem_mod(f, g, q)
+    return g or f
 
 
 def restriction_to_line(web: ImplicitWeb, line: AffineLine) -> MultiPoly:
@@ -363,22 +352,6 @@ def discriminant_locus(web: ImplicitWeb) -> MultiPoly:
     return web.discriminant.primitive_part()
 
 
-def _invariance_core(p_coefficients: list[MultiPoly], curve: MultiPoly) -> bool:
-    """Divisibility form of the invariance test.
-
-    On the curve C = 0 the slope is p = -C_x / C_y, so C is invariant
-    exactly when C divides G = sum_i A_i * (-C_x)^i * C_y^(k-i), the cleared
-    numerator of F evaluated along the curve.  A nonzero residue of
-    ``_certified_not_dividing`` proves that it does not; only otherwise is G
-    expanded and divided.
-    """
-    curve = curve.primitive_part()
-    if _certified_not_dividing(p_coefficients, curve):
-        return False
-    cleared = _clear_slope(p_coefficients, curve.derivative("y"), curve.derivative("x"))
-    return curve.divides(cleared)
-
-
 def _certified_not_dividing(p_coefficients: list[MultiPoly], curve: MultiPoly) -> bool:
     """True proves that C does not divide G; False proves nothing.
 
@@ -421,22 +394,29 @@ def _certified_not_dividing(p_coefficients: list[MultiPoly], curve: MultiPoly) -
 def is_invariant(web: ImplicitWeb, curve: MultiPoly) -> bool:
     """Exact invariance of the plane curve C(x, y) = 0 under the web.
 
-    Decided by multivariate exact division, no approximation anywhere.  If
-    C does not involve y the roles of x and y are exchanged (the slope of a
-    vertical branch lives at p = infinity, so the reciprocal-slope form of F
-    is used); a constant C is rejected.
+    On the curve the slope is p = -C_x / C_y, so C is invariant exactly
+    when C divides G = sum_i a_i * (-C_x)^i * C_y^(k-i), the cleared
+    numerator of F along the curve.  A nonzero residue of
+    ``_certified_not_dividing`` proves that it does not; only otherwise is
+    G expanded and divided exactly.  For a curve in x alone (C_y = 0) the
+    sum is a_k * (-C_x)^k, so a vertical line is invariant exactly when
+    slope infinity is a branch along it; the factor p^m of F, horizontal
+    branches, is stripped first, as on C it only adds (-C_x)^m to G, and
+    the certificate, which specialises x, is skipped.  A constant C is
+    rejected.
     """
     if not curve.uses_only({"x", "y"}):
         raise ValueError("curves must be polynomials in x and y only")
     if curve.total_degree() < 1:
         raise ValueError("curve polynomial is constant")
-    if not curve.derivative("y").is_zero:
-        return _invariance_core(web.f.coefficient_list("p"), curve)
-    # C is in x alone: reciprocal slope, coefficients reversed, chart roles exchanged
-    swapped = [a.swap_xy() for a in reversed(web.f.coefficient_list("p"))]
-    while len(swapped) > 1 and swapped[-1].is_zero:
-        swapped.pop()
-    return _invariance_core(swapped, curve.swap_xy())
+    curve = curve.primitive_part()
+    coefficients = web.f.coefficient_list("p")
+    c_y = curve.derivative("y")
+    if c_y.is_zero:
+        coefficients = coefficients[next(i for i, a in enumerate(coefficients) if not a.is_zero):]
+    elif _certified_not_dividing(coefficients, curve):
+        return False
+    return curve.divides(_clear_slope(coefficients, c_y, curve.derivative("x")))
 
 
 @dataclass(frozen=True)
@@ -447,28 +427,16 @@ class WebReport:
     degree: int
     polar_curve_degree: int
     polar_curve_expected: int
+    polar_check: bool
     degree_bound: int
     curve_degree: int | None = None
     invariant: bool | None = None
     bound_check: str = "skipped"  # "holds" | "violated" | "skipped"
 
-    @property
-    def polar_check_ok(self) -> bool:
-        return self.polar_curve_degree == self.polar_curve_expected
-
     def to_dict(self) -> dict:
-        out = {
-            "k": self.k,
-            "degree": self.degree,
-            "polar_curve_degree": self.polar_curve_degree,
-            "polar_curve_expected": self.polar_curve_expected,
-            "polar_check": self.polar_check_ok,
-            "degree_bound": self.degree_bound,
-        }
-        if self.curve_degree is not None:
-            out["curve_degree"] = self.curve_degree
-            out["invariant"] = self.invariant
-            out["bound_check"] = self.bound_check
+        out = dict(vars(self))
+        if self.curve_degree is None:
+            del out["curve_degree"], out["invariant"], out["bound_check"]
         return out
 
 
@@ -489,6 +457,7 @@ def end_to_end_check(web: ImplicitWeb, curve: MultiPoly | None = None) -> WebRep
     generic_polar = polar_curve(web, variables("t", "u"))
     polar_deg = generic_polar.total_degree("x", "y")
     bound = hypersurface_degree_bound(numbers).overall
+    expected = polar_degree_web(numbers, 1)
     curve_fields = {}
     if curve is not None:
         invariant = is_invariant(web, curve)
@@ -506,7 +475,8 @@ def end_to_end_check(web: ImplicitWeb, curve: MultiPoly | None = None) -> WebRep
         k=k,
         degree=degree,
         polar_curve_degree=polar_deg,
-        polar_curve_expected=polar_degree_web(numbers, 1),
+        polar_curve_expected=expected,
+        polar_check=polar_deg == expected,
         degree_bound=bound,
         **curve_fields,
     )

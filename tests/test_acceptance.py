@@ -174,10 +174,10 @@ def test_criterion_7_geometric_cross_validation():
     with Stopwatch(60.0):
         r = end_to_end_check(ImplicitWeb(P ** 2 - X))
         assert (r.k, r.degree, r.polar_curve_degree) == (2, 1, 3)
-        assert r.polar_check_ok
+        assert r.polar_check
         r = end_to_end_check(ImplicitWeb(X + Y * P))
         assert (r.k, r.degree, r.polar_curve_degree) == (1, 1, 2)
-        assert r.polar_check_ok
+        assert r.polar_check
         r = end_to_end_check(ImplicitWeb(P ** 2 - Y), 4 * Y - X ** 2)
         assert (r.k, r.degree) == (2, 1)
         assert r.invariant is True

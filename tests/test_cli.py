@@ -197,6 +197,22 @@ class TestVerdictsAndExitCodes:
         assert code == 1
         assert err
 
+    @pytest.mark.parametrize("d,message", [
+        ("1,-5", "d_1 + d_0 = -4 is negative, so no degree d >= 1 satisfies (d-1)^1 <= -4"),
+        ("1,2,-3", "d_2 + d_1 = -1 is negative, so no degree d >= 1 satisfies (d-1)^2 <= -1"),
+        ("1", "--d needs at least d_0,d_1, got '1'"),
+    ], ids=["m=1", "m=2", "d_0-alone"])
+    def test_bound_names_the_entries_it_cannot_use(self, d, message):
+        # a negative entry warns first; the error names the entries, not the
+        # root extraction or an ambient dimension the user never gave
+        env = dict(os.environ, PYTHONPATH=str(Path(webpolar.__file__).parent.parent))
+        completed = subprocess.run(
+            [sys.executable, "-m", "webpolar", "bound", "--d", d],
+            capture_output=True, text=True, env=env, timeout=20,
+        )
+        assert (completed.returncode, completed.stdout) == (1, "")
+        assert completed.stderr.splitlines()[-1] == f"webpolar: error: {message}"
+
     def test_vector_length_mismatch_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "check", "--n", "3", "--q", "2", "--a", "1,2", "--d", "1,2")
         assert code == 1

@@ -182,10 +182,6 @@ class TestArithmetic:
         assert f.derivative("y") == 2 * Y
         assert f.derivative("t").is_zero
 
-    def test_swap_xy(self):
-        f = X ** 2 + 3 * Y * P
-        assert f.swap_xy() == Y ** 2 + 3 * X * P
-
     def test_content_and_primitive_part(self):
         f = 6 * X - 9 * Y
         assert f.content() == 3

@@ -251,6 +251,15 @@ class TestDegreeBounds:
         assert integer_root(12, 2) == 3
         assert integer_root((7 ** 31) ** 5 - 1, 5) == 7 ** 31 - 1
 
+    @pytest.mark.parametrize("d,message", [
+        ((1, -5), r"d_1 \+ d_0 = -4 is negative, so no degree d >= 1 satisfies \(d-1\)\^1 <= -4$"),
+        ((1, 2, -3), r"d_2 \+ d_1 = -1 is negative, so no degree d >= 1 satisfies \(d-1\)\^2 <= -1$"),
+    ])
+    def test_negative_sum_names_its_entries(self, d, message):
+        w = WebCharNumbers.from_vector(len(d), d)
+        with pytest.raises(ValueError, match=message):
+            hypersurface_degree_bound(w)
+
     def test_foliation_bound_is_degree_plus_two(self):
         for deg in range(0, 8):
             w = WebCharNumbers(n=2, p=1, k=1, d=(1, deg))

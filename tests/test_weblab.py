@@ -39,7 +39,7 @@ from webpolar.weblab import (
     tangency_with_line,
     _certified_not_dividing,
     _clear_slope,
-    _resultant_mod,
+    _gcd_mod,
     web_degree,
 )
 
@@ -136,12 +136,17 @@ def expanded_web_degree(web):
     return web.f.substitute(y=Y * X + P, p=Y).degree("x")
 
 
+def swap_xy(poly):
+    return poly.substitute(x=Y, y=X)
+
+
 def swapped_chart(coefficients, curve):
-    """The reciprocal-slope form of ``is_invariant``, for a curve without y."""
-    swapped = [a.swap_xy() for a in reversed(coefficients)]
+    """The reciprocal-slope chart with x and y exchanged, for a curve without
+    y: an independent reference for the lab's one chart."""
+    swapped = [swap_xy(a) for a in reversed(coefficients)]
     while len(swapped) > 1 and swapped[-1].is_zero:
         swapped.pop()
-    return swapped, curve.swap_xy()
+    return swapped, swap_xy(curve)
 
 
 def exact_invariance(web, curve):
@@ -293,12 +298,13 @@ class TestSquareFreeCertificate:
         g_tail=st.lists(_RESIDUE_COEFFICIENTS, max_size=7),
     )
     def test_residue_is_the_integer_resultant_mod_q(self, leads, f_tail, g_tail):
-        # descending coefficients, leading ones units mod q, deg f >= deg g
+        # descending coefficients, leading ones units mod q, deg f >= deg g:
+        # the gcd mod q is constant exactly when the resultant is a unit
         q = CERTIFICATE_PRIME
         f = [leads[0]] + f_tail
         g = [leads[1]] + g_tail[:len(f_tail)]
-        residue = _resultant_mod([c % q for c in f], [c % q for c in g], q)
-        assert residue == _integer_resultant(f, g) % q
+        gcd = _gcd_mod([c % q for c in f], [c % q for c in g], q)
+        assert (len(gcd) == 1) == (_integer_resultant(f, g) % q != 0)
 
     @settings(max_examples=150, deadline=None)
     @given(f=_SMALL_WEBS | st.builds(MultiPoly, _small_term_maps(2, 5, _RESIDUE_COEFFICIENTS)))
@@ -603,9 +609,9 @@ class TestIsInvariant:
         web = ImplicitWeb(CIRCLE_FOLIATION)
         assert not is_invariant(web, (X - 1) ** 2 + Y ** 2 - 4)
 
-    def test_vertical_line_uses_swapped_chart(self):
-        # the branch along x = 1 is vertical, so invariance must be decided
-        # with the reciprocal-slope form
+    def test_vertical_line_along_a_vertical_branch(self):
+        # the branch along x = 1 is vertical: a_k = x - 1 vanishes there, so
+        # slope infinity is a root, and G = a_k (-C_x)^k in the same chart
         web = ImplicitWeb((X - 1) * P ** 2 - Y)
         assert is_invariant(web, X - 1)
         assert not is_invariant(web, X - 2)
@@ -617,11 +623,11 @@ class TestIsInvariant:
         coeffs = PARABOLA_WEB.coefficient_list("p")
         k = len(coeffs) - 1
         for i, a in enumerate(coeffs):
-            swapped_f = swapped_f + a.swap_xy() * P ** (k - i)
+            swapped_f = swapped_f + swap_xy(a) * P ** (k - i)
         swapped_web = ImplicitWeb(swapped_f)
         for c in range(-2, 3):
             curve = 4 * Y - (X + c) ** 2
-            assert is_invariant(web, curve) == is_invariant(swapped_web, curve.swap_xy())
+            assert is_invariant(web, curve) == is_invariant(swapped_web, swap_xy(curve))
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -650,10 +656,10 @@ class TestIsInvariant:
         assume(len(coeffs) > 1 and not coeffs[0].is_zero)
         k = len(coeffs) - 1
         web = valid_web(f.terms())
-        swapped_web = ImplicitWeb(MultiPoly.sum(a.swap_xy() * P ** (k - i)
+        swapped_web = ImplicitWeb(MultiPoly.sum(swap_xy(a) * P ** (k - i)
                                                 for i, a in enumerate(coeffs)))
         verdict = is_invariant(web, curve)
-        assert is_invariant(swapped_web, curve.swap_xy()) == verdict
+        assert is_invariant(swapped_web, swap_xy(curve)) == verdict
         if planted and not curve.derivative("y").is_zero:
             assert verdict
 
@@ -667,8 +673,11 @@ class TestIsInvariant:
         g_terms=_small_term_maps(1, 3),
         h_terms=_small_term_maps(1, 3),
         kind=st.sampled_from(["random", "planted", "vertical"]),
+        p_power=st.sampled_from([0, 0, 1, 2]),
     )
-    def test_verdict_is_the_exact_division(self, curve_terms, content, g_terms, h_terms, kind):
+    def test_verdict_is_the_exact_division(
+        self, curve_terms, content, g_terms, h_terms, kind, p_power
+    ):
         curve = MultiPoly(curve_terms)
         if kind == "vertical":
             curve = curve.substitute(y=X + 1)  # a curve in x alone: the swapped chart
@@ -681,8 +690,51 @@ class TestIsInvariant:
             # C = 0 is invariant where the slope -C_x / C_y (for a vertical
             # curve, p = infinity) is a root of F
             f = (curve.derivative("y") * P + curve.derivative("x")) * g + curve * h
-        web = valid_web(f.terms())
+        # a factor p^m puts horizontal branches into the web
+        web = valid_web((f * P ** p_power).terms())
         assert is_invariant(web, curve) == exact_invariance(web, curve)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        curve_coefficients=st.lists(st.integers(-4, 4), min_size=2, max_size=5),
+        f_terms=_small_term_maps(2, 6),
+        planted=st.booleans(),
+        p_power=st.sampled_from([0, 0, 1, 2]),
+    )
+    def test_curve_in_x_alone_divides_the_leading_coefficient(
+        self, curve_coefficients, f_terms, planted, p_power
+    ):
+        # a vertical line is invariant exactly when slope infinity is a
+        # branch there, that is where a_k vanishes
+        curve = MultiPoly.sum(c * X ** i for i, c in enumerate(curve_coefficients))
+        assume(curve.total_degree() >= 1)
+        x = sympy.Symbol("x")
+        assume(sympy.Poly(curve_coefficients[::-1], x).is_sqf)
+        f = MultiPoly(f_terms)
+        k = f.degree("p")
+        assume(k >= 1)
+        if planted:
+            # multiply a_k by C, so every root of C carries a vertical branch
+            lead = f.coefficient_list("p")[-1]
+            f = f + (curve - 1) * lead * P ** k
+        web = valid_web((f * P ** p_power).terms())
+        a_k = web.f.coefficient_list("p")[-1]
+        verdict = is_invariant(web, curve)
+        assert verdict == curve.primitive_part().divides(a_k)
+        if planted:
+            assert verdict
+
+    @pytest.mark.parametrize("f,curve,verdict", [
+        (P ** 2 + X * P, X ** 2, False),
+        (P ** 2 + X * P, X, False),
+        (X * P, X ** 2, False),
+        # C | G is not invariance for a non-reduced curve: x = 0 is not
+        # invariant under p^2 - y (ROADMAP item 3(b))
+        (P ** 2 - Y, X ** 2, True),
+        ((X - 1) * P ** 2 - Y, X - 1, True),
+    ])
+    def test_verdicts_on_curves_in_x_alone(self, f, curve, verdict):
+        assert is_invariant(ImplicitWeb(f), curve) is verdict
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -762,14 +814,14 @@ class TestEndToEnd:
     def test_parabola_web_with_invariant_curve(self):
         report = end_to_end_check(ImplicitWeb(PARABOLA_WEB), 4 * Y - X ** 2)
         assert (report.k, report.degree) == (2, 1)
-        assert report.polar_curve_degree == 3 and report.polar_check_ok
+        assert report.polar_curve_degree == 3 and report.polar_check
         assert report.invariant and report.curve_degree == 2
         assert report.degree_bound == 4 and report.bound_check == "holds"
 
     def test_circle_foliation_with_invariant_circle(self):
         report = end_to_end_check(ImplicitWeb(CIRCLE_FOLIATION), X ** 2 + Y ** 2 - 1)
         assert (report.k, report.degree) == (1, 1)
-        assert report.polar_curve_degree == 2 and report.polar_check_ok
+        assert report.polar_curve_degree == 2 and report.polar_check
         assert report.invariant and report.bound_check == "holds"
         assert report.curve_degree == 2 and report.degree_bound == 3
 
@@ -801,7 +853,7 @@ class TestEndToEnd:
         # x*u - y*t through the symbolic point (t, u) is a line
         report = end_to_end_check(ImplicitWeb(X * P - Y))
         assert (report.k, report.degree, report.polar_curve_degree) == (1, 0, 1)
-        assert report.polar_check_ok
+        assert report.polar_check
 
     def test_twist_bookkeeping_matches_measured_degree(self):
         # the defining form twisted by O(deg + k(n-p) + k) restricts to a
