@@ -67,6 +67,14 @@ def _int_vector(text: str, label: str) -> tuple[int, ...]:
         raise ValueError(f"{label} must be a comma-separated list of integers, got {text!r}")
 
 
+def _web_vector(text: str) -> tuple[int, ...]:
+    """The --d vector d_0,...,d_p of a web; p >= 1."""
+    d = _int_vector(text, "--d")
+    if len(d) < 2:
+        raise ValueError(f"--d needs at least d_0,d_1, got {text!r}")
+    return d
+
+
 # -- subcommand handlers: each returns (inputs, results, verdict, text lines) ----
 
 
@@ -103,7 +111,7 @@ def _cmd_polar(args):
     else:
         if args.s is None:
             raise ValueError("web mode needs --s")
-        d = _int_vector(args.d, "--d")
+        d = _web_vector(args.d)
         w = WebCharNumbers.from_vector(args.n, d, args.k)
         degree = polar_degree_web(w, args.s)
         inputs = {"n": args.n, "mode": "web", "d": list(d), "k": w.k, "s": args.s}
@@ -112,7 +120,7 @@ def _cmd_polar(args):
 
 def _cmd_check(args):
     a = _int_vector(args.a, "--a")
-    d = _int_vector(args.d, "--d")
+    d = _web_vector(args.d)
     c = CharNumbers(n=args.n, q=args.q, a=a)
     w = WebCharNumbers.from_vector(args.n, d, args.k)
     report = invariance_inequalities(c, w, include_conditional=args.include_conditional)
@@ -136,10 +144,8 @@ def _cmd_check(args):
 
 
 def _cmd_bound(args):
-    d = _int_vector(args.d, "--d")
+    d = _web_vector(args.d)
     p = len(d) - 1
-    if p < 1:
-        raise ValueError(f"--d needs at least d_0,d_1, got {args.d!r}")
     n = args.n if args.n is not None else p + 1
     w = WebCharNumbers.from_vector(n, d, args.k)
     bounds = hypersurface_degree_bound(w)

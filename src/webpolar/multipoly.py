@@ -22,17 +22,20 @@ t and u are the coordinates of the symbolic generic point through which
 the chart at infinity of ``ImplicitWeb.infinity_chart``, the tests'
 independent reference for tangency counts.
 
-Resultants are determinants of the Sylvester matrix, taken by one of two
-exact paths.  Dense input is packed by Kronecker substitution: every
-variable but the eliminated one becomes a power of z = 2^b, spaced by the
-resultant's degree bound in that variable, and 2^(b-1) exceeds the bound
-‖f‖₁^deg(g) · ‖g‖₁^deg(f) on the resultant's coefficients.  One
-fraction-free integer Bareiss determinant is then the resultant's value at
-z, and its balanced base-2^b digits are the coefficients.  Where that packed
-value would be large for the number of terms (sparse, high-degree or
-huge-coefficient input), fraction-free Bareiss runs over the polynomial
-entries instead.  The choice reads only the degrees, term counts and b of
-the two inputs (``_use_kronecker``); both paths give the same polynomial.
+Resultants come from the Bezout matrix: for m = deg f >= n = deg g it is
+max(m, n)-square, and its fraction-free Bareiss determinant, divided exactly
+by a_m^(m-n) and signed by (-1)^(m(m-1)/2), is Res(f, g), the determinant
+of the (m+n)-square Sylvester matrix.  It is taken by one of two exact
+paths.  Dense input is packed by Kronecker substitution: every variable but
+the eliminated one becomes a power of z = 2^b, spaced by the resultant's
+degree bound in that variable, and 2^(b-1) exceeds the bound
+‖f‖₁^deg(g) · ‖g‖₁^deg(f) on the resultant's coefficients.  One integer
+Bezout determinant is then the resultant's value at z, and its balanced
+base-2^b digits are the coefficients.  Where that packed value would be
+large for the number of terms (sparse, high-degree or huge-coefficient
+input), the same determinant runs over the polynomial entries instead.  The
+choice reads only the degrees, term counts and b of the two inputs
+(``_use_kronecker``); both paths give the same polynomial.
 Exact division takes the leading monomials of the remainder from a heap,
 at O(log T) per step for T remainder terms.
 
@@ -513,32 +516,55 @@ def _bareiss_determinant(rows: list[list], divide=MultiPoly.exact_div):
     return -det if sign < 0 else det
 
 
-def _sylvester_layout(fc: list, gc: list, zero) -> list[list]:
-    """Sylvester matrix from coefficient lists in descending degree order."""
-    deg_f = len(fc) - 1
-    deg_g = len(gc) - 1
-    size = deg_f + deg_g
-    rows = []
-    for shift in range(deg_g):
-        rows.append([zero] * shift + fc + [zero] * (size - deg_f - 1 - shift))
-    for shift in range(deg_f):
-        rows.append([zero] * shift + gc + [zero] * (size - deg_g - 1 - shift))
+def _bezout_layout(fc: list, gc: list) -> list[list]:
+    """Bezout (Cayley) matrix from coefficient lists in descending degree
+    order, deg f = m >= 1 and deg g <= m.
+
+    It is the m-square coefficient matrix of (f(s) g(t) - f(t) g(s)) / (s - t),
+    rows and columns ordered from the top degree, so it is symmetric.  With
+    a_i, b_i the coefficients of degree m - i (g padded by zeros to degree
+    m), its entries satisfy B[i][j] = B[i-1][j+1] + a_i b_(j+1) - a_(j+1) b_i,
+    the first term absent on the top row and the last column.
+    """
+    m = len(fc) - 1
+    a, b = fc, [0] * (m + 1 - len(gc)) + gc  # an int 0 times either entry type is its zero
+    rows = [[None] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            entry = a[i] * b[j + 1] - a[j + 1] * b[i]
+            if i and j + 1 < m:
+                entry += rows[i - 1][j + 1]
+            rows[i][j] = rows[j][i] = entry
     return rows
 
 
-def sylvester_matrix(f: MultiPoly, g: MultiPoly, var: str) -> list[list[MultiPoly]]:
-    """The (deg f + deg g)-square Sylvester matrix of f and g in ``var``."""
-    if f.degree(var) < 1 or g.degree(var) < 1:
-        raise ValueError("both polynomials need positive degree in the elimination variable")
-    fc = list(reversed(f.coefficient_list(var)))
-    gc = list(reversed(g.coefficient_list(var)))
-    return _sylvester_layout(fc, gc, MultiPoly.zero())
+def _bezout_resultant(fc: list, gc: list, divide):
+    """Res(f, g) from coefficient lists in descending degree order, leading
+    coefficients nonzero, over polynomials or integers.
+
+    For m = deg f >= n = deg g, det Bez(f, g) = (-1)^(m(m-1)/2) · a_m^(m-n) ·
+    Res(f, g), a_m the leading coefficient of f (Gelfand, Kapranov and
+    Zelevinsky, *Discriminants, Resultants and Multidimensional
+    Determinants*, ch. 12).  ``divide`` is the exact division of
+    ``_bareiss_determinant`` and also removes a_m^(m-n); deg f < deg g swaps
+    the inputs at the sign (-1)^(mn).
+    """
+    m, n = len(fc) - 1, len(gc) - 1
+    if m < n:
+        res = _bezout_resultant(gc, fc, divide)
+        return -res if m * n % 2 else res
+    if not m:
+        return fc[0] ** 0  # two constants: the empty determinant, 1
+    det = _bareiss_determinant(_bezout_layout(fc, gc), divide)
+    if m > n:
+        det = divide(det, fc[0] ** (m - n))
+    return -det if m * (m - 1) // 2 % 2 else det
 
 
 def _integer_resultant(fc: list[int], gc: list[int]) -> int:
     """Res(f, g) of integer polynomials given by coefficient lists in
     descending degree order, leading coefficients nonzero."""
-    return _bareiss_determinant(_sylvester_layout(fc, gc, 0), floordiv)
+    return _bezout_resultant(fc, gc, floordiv)
 
 
 class _Packing:
@@ -550,11 +576,15 @@ class _Packing:
     slot most significant), maps distinct monomials of the resultant to
     distinct powers of z below ``box``.  Every coefficient of the resultant
     is at most ‖f‖₁^deg_var(g) · ‖g‖₁^deg_var(f) in absolute value: the
-    determinant is a signed sum of products of entries, so its 1-norm is at
-    most the permanent of the entries' 1-norms, and a permanent is at most
-    the product of its row sums, ‖f‖₁ for a row of f and ‖g‖₁ for a row of
-    g.  2^(b-1) exceeds that bound, so the balanced base-2^b digits of the
-    evaluated determinant are the resultant's coefficients.
+    resultant is the determinant of the Sylvester matrix, a signed sum of
+    products of entries, so its 1-norm is at most the permanent of the
+    entries' 1-norms, and a permanent is at most the product of its row
+    sums, ‖f‖₁ for a row of f and ‖g‖₁ for a row of g.  2^(b-1) exceeds
+    that bound, so the balanced base-2^b digits of the evaluated resultant
+    are its coefficients.  The bound is on Res itself, so it holds however
+    the determinant is taken: ``_bezout_resultant`` divides the extra factor
+    a_m^(m-n) of the Bezout determinant out exactly, at z, before the digits
+    are read.
     """
 
     __slots__ = ("var", "shifts", "weights", "box", "width")
@@ -654,7 +684,7 @@ def _bound_failure() -> RuntimeError:
 
 
 def _kronecker_resultant(f: MultiPoly, g: MultiPoly, packing: _Packing) -> MultiPoly:
-    """Res(f, g) as one integer determinant of the Sylvester matrix at z = 2^b."""
+    """Res(f, g) as one integer Bezout determinant at z = 2^b."""
     return packing.unpack(_integer_resultant(packing.evaluate(f), packing.evaluate(g)))
 
 
@@ -670,7 +700,10 @@ def _kronecker_resultant(f: MultiPoly, g: MultiPoly, packing: _Packing) -> Multi
 # hundred bits per digit) or a large box.  The constants were fitted to
 # timings of both paths on 580 resultants: random webs (k 1-4, degree 1-40,
 # density 0.03-1, coefficients up to 100 bits) against F_p and a pencil,
-# and sparse high-degree webs.
+# and sparse high-degree webs, with both paths on the (m+n)-square Sylvester
+# matrix.  Both now take the smaller Bezout matrix; the constants are kept,
+# so every input takes the path that fit chose for it, and a refit to the
+# Bezout timings is left open.
 KRONECKER_RATIO = 4
 KRONECKER_QUADRATIC_WORDS = 4000
 KRONECKER_MAX_BITS = 1 << 22
@@ -694,13 +727,16 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     var-constants is 1.  Zero input polynomials are rejected.
 
     Dense inputs take one integer determinant of the Kronecker-packed
-    Sylvester matrix (``_Packing``); sparse, high-degree or huge-coefficient
-    inputs, where packing would be large, take symbolic Bareiss elimination.
-    Both give the exact polynomial, sign included.
+    Bezout matrix (``_Packing``); sparse, high-degree or huge-coefficient
+    inputs, where packing would be large, take the Bezout determinant over
+    the polynomials.  Both give the exact polynomial, sign included, also
+    when deg f < deg g.
 
     >>> x, y, p = variables("x", "y", "p")
     >>> print(resultant(x + y * p, (y - 3) - p * (x - 5), "p"))
     x^2 + y^2 - 5*x - 3*y
+    >>> print(resultant(p - x, p**3 - y, "p"))  # g at the root of f
+    x^3 - y
     """
     if f.is_zero or g.is_zero:
         raise ValueError("resultant of the zero polynomial is undefined")
@@ -715,4 +751,5 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     packing = _Packing(f, g, var)
     if _use_kronecker(f, g, packing, deg_f + deg_g):
         return _kronecker_resultant(f, g, packing)
-    return _bareiss_determinant(sylvester_matrix(f, g, var))
+    fc, gc = (list(reversed(h.coefficient_list(var))) for h in (f, g))
+    return _bezout_resultant(fc, gc, MultiPoly.exact_div)

@@ -213,6 +213,19 @@ class TestVerdictsAndExitCodes:
         assert (completed.returncode, completed.stdout) == (1, "")
         assert completed.stderr.splitlines()[-1] == f"webpolar: error: {message}"
 
+    @pytest.mark.parametrize("argv", [
+        ["polar", "--n", "2", "--d", "1", "--s", "1"],
+        ["check", "--n", "2", "--q", "1", "--a", "5,15", "--d", "1"],
+        ["bound", "--d", "1"],
+        ["bound", "--n", "3", "--d", "1"],
+    ], ids=["polar", "check", "bound", "bound-n"])
+    def test_one_entry_d_is_refused_by_its_own_name(self, capsys, argv):
+        # one message for every command that reads a web's --d, never one
+        # about a plane dimension p = 0 the user did not give
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == "webpolar: error: --d needs at least d_0,d_1, got '1'"
+
     def test_vector_length_mismatch_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "check", "--n", "3", "--q", "2", "--a", "1,2", "--d", "1,2")
         assert code == 1

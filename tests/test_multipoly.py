@@ -9,21 +9,25 @@ import operator
 import random
 from fractions import Fraction
 from functools import reduce
+from math import prod
 
 import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tests_support import sylvester_integer_resultant, sylvester_matrix
 from webpolar.exprparse import parse_poly_expr
 from webpolar.multipoly import (
     MultiPoly,
     _bareiss_determinant,
+    _bezout_layout,
+    _bezout_resultant,
+    _integer_resultant,
     _kronecker_resultant,
     _Packing,
     _use_kronecker,
     resultant,
-    sylvester_matrix,
     variables,
 )
 
@@ -394,7 +398,13 @@ def kronecker(f, g, var):
 
 
 def symbolic(f, g, var):
+    """The reference: symbolic Bareiss on the Sylvester matrix."""
     return _bareiss_determinant(sylvester_matrix(f, g, var))
+
+
+def coefficients(poly, var):
+    """Coefficients in ``var``, descending, as the Bezout helpers take them."""
+    return list(reversed(poly.coefficient_list(var)))
 
 
 class TestKroneckerResultant:
@@ -418,13 +428,23 @@ class TestKroneckerResultant:
         assert kronecker((P ** 2 + X) * common, (Y * P - 3) * common, "p").is_zero
 
     def test_zero_pivot(self):
-        # the leading 3x3 minor of this Sylvester matrix vanishes, so both
-        # eliminations exchange rows; Res = prod over f's roots a of
+        # the leading 3x3 minor of this Sylvester matrix vanishes, so the
+        # reference exchanges rows; Res = prod over f's roots a of
         # g(a) = y*a, which is y^2 * x
         f, g = P ** 2 + X, P ** 2 + Y * P + X
         leading = [row[:3] for row in sylvester_matrix(f, g, "p")[:3]]
         assert _bareiss_determinant(leading).is_zero
-        assert kronecker(f, g, "p") == symbolic(f, g, "p") == X * Y ** 2
+        assert kronecker(f, g, "p") == symbolic(f, g, "p") == resultant(f, g, "p") == X * Y ** 2
+
+    def test_zero_bezout_pivot(self):
+        # g is padded by two zeros to degree 3, so the Bezout matrix has a
+        # zero top-left entry and both Bezout paths exchange rows; with f of
+        # odd degree, Res(f, p + y) = -f(-y) = y^3 - x
+        f, g = P ** 3 + X, P + Y
+        fc, gc = (coefficients(h, "p") for h in (f, g))
+        assert _bezout_layout(fc, gc)[0][0].is_zero
+        assert kronecker(f, g, "p") == _bezout_resultant(fc, gc, MultiPoly.exact_div)
+        assert kronecker(f, g, "p") == symbolic(f, g, "p") == Y ** 3 - X
 
     def test_against_sympy(self):
         rng = random.Random(83)
@@ -458,6 +478,130 @@ class TestKroneckerResultant:
         packing.width = 1
         with pytest.raises(RuntimeError, match="coefficient bound"):
             _kronecker_resultant(f, g, packing)
+
+
+def _times_root(descending, root):
+    """Descending coefficients of the given polynomial times (p - root)."""
+    out = descending + [0]
+    for i in range(1, len(out)):
+        out[i] -= root * descending[i - 1]
+    return out
+
+
+_LEADS = st.one_of(st.integers(-9, 9), _BIG).filter(bool)
+
+
+@st.composite
+def _integer_pairs(draw, relation):
+    """(fc, gc, common): descending integer coefficient lists of degrees 0-8
+    with nonzero leading coefficients, deg f <, = or > deg g as ``relation``
+    says; when ``common``, both have the root drawn last, so Res = 0."""
+    if relation == "=":
+        m = n = draw(st.integers(0, 8))
+    else:
+        low = draw(st.integers(0, 7))
+        high = draw(st.integers(low + 1, 8))
+        m, n = (low, high) if relation == "<" else (high, low)
+    common = min(m, n) >= 1 and draw(st.booleans())
+    fc, gc = ([draw(_LEADS)] + draw(st.lists(_COEFFICIENTS, min_size=d, max_size=d))
+              for d in (m - common, n - common))
+    if common:
+        root = draw(st.integers(-9, 9))
+        fc, gc = _times_root(fc, root), _times_root(gc, root)
+    return fc, gc, common
+
+
+@st.composite
+def _sparse_pairs(draw):
+    """(f, g) in x, y, p that ``_use_kronecker`` leaves to the symbolic path:
+    two to four terms of x,y-degree up to 40 and p-degree up to 4, with
+    small or 100-bit coefficients; g is f_p or drawn like f."""
+    terms = st.dictionaries(
+        st.tuples(*[st.integers(0, 40)] * 2, st.integers(0, 4), st.just(0), st.just(0)),
+        _COEFFICIENTS.filter(bool),
+        min_size=2,
+        max_size=4,
+    )
+    f = MultiPoly(draw(terms))
+    g = f.derivative("p") if draw(st.booleans()) else MultiPoly(draw(terms))
+    assume(f.degree("p") >= 1 and g.degree("p") >= 1)
+    assume(not _use_kronecker(f, g, _Packing(f, g, "p"), f.degree("p") + g.degree("p")))
+    return f, g
+
+
+class TestBezoutResultant:
+    """Both Bezout paths against the Sylvester reference, sympy and the
+    product of root differences."""
+
+    @pytest.mark.parametrize("relation", ["<", "=", ">"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_integer_path_matches_sylvester(self, relation, data):
+        fc, gc, common = data.draw(_integer_pairs(relation))
+        res = _integer_resultant(fc, gc)
+        assert res == sylvester_integer_resultant(fc, gc)
+        if common:
+            assert res == 0
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_product_of_root_differences(self, m, n):
+        # f = 2 prod (p - a_i), g = -3 prod (p - b_j):
+        # Res(f, g) = 2^n (-3)^m prod (a_i - b_j), both signs and the
+        # division by a_m^(m-n) pinned without any matrix
+        rng = random.Random(10 * m + n)
+        alphas = [2 * rng.randint(-5, 5) for _ in range(m)]
+        betas = [2 * rng.randint(-5, 5) + 1 for _ in range(n)]  # odd: no shared root
+        fc, gc = [2], [-3]
+        for a in alphas:
+            fc = _times_root(fc, a)
+        for b in betas:
+            gc = _times_root(gc, b)
+        scale = 2 ** n * (-3) ** m
+        assert _integer_resultant(fc, gc) == scale * prod(a - b for a in alphas for b in betas)
+        # the polynomial path, with every root of f moved by x and of g by y
+        f = prod((P - a - X for a in alphas), start=MultiPoly.const(2))
+        g = prod((P - b - Y for b in betas), start=MultiPoly.const(-3))
+        expected = prod((X + a - Y - b for a in alphas for b in betas),
+                        start=MultiPoly.const(scale))
+        fc, gc = coefficients(f, "p"), coefficients(g, "p")
+        assert _bezout_resultant(fc, gc, MultiPoly.exact_div) == expected
+        assert resultant(f, g, "p") == expected
+
+    def test_layout_is_the_bezoutian(self):
+        # entry (i, j) is the coefficient of s^(m-1-i) t^(m-1-j) in
+        # (f(s) g(t) - f(t) g(s)) / (s - t), read off by sympy
+        s, t = sympy.symbols("s t")
+        rng = random.Random(97)
+        for _ in range(30):
+            m = rng.randint(1, 6)
+            fc = [rng.choice([-2, -1, 1, 3])] + [rng.randint(-9, 9) for _ in range(m)]
+            gc = [rng.randint(-9, 9) for _ in range(rng.randint(1, m + 1))]
+            f, g = sympy.Poly(fc, s).as_expr(), sympy.Poly(gc, s).as_expr()
+            bezoutian = sympy.Poly(
+                sympy.cancel((f * g.subs(s, t) - f.subs(s, t) * g) / (s - t)), s, t
+            )
+            entry = bezoutian.coeff_monomial
+            assert _bezout_layout(fc, gc) == [
+                [entry(s ** (m - 1 - i) * t ** (m - 1 - j)) for j in range(m)] for i in range(m)
+            ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(pair=_sparse_pairs())
+    def test_symbolic_path_matches_sylvester(self, pair):
+        f, g = pair
+        assert resultant(f, g, "p") == symbolic(f, g, "p")
+
+    @pytest.mark.parametrize("text_f,text_g", [
+        ("x^40*p^3 + y^40*p + 1", "3*x^40*p^2 + y^40"),
+        ("x^30*p^4 + y^30*p^2 + x*p + 7", "x^12*y^3*p^3 - y^20*p + 5"),
+        ("x^12*y^3*p + 3*y^20", "x^25*p^4 + y^25*p^2 - x*y"),
+    ])
+    def test_symbolic_path_against_sympy(self, text_f, text_g):
+        f, g = (parse_poly_expr(text, {"x", "y", "p"}) for text in (text_f, text_g))
+        assert not _use_kronecker(f, g, _Packing(f, g, "p"), f.degree("p") + g.degree("p"))
+        theirs = sympy.resultant(to_sympy(f), to_sympy(g), _SYMPY_VARS[2])
+        assert sympy.expand(to_sympy(resultant(f, g, "p")) - theirs) == 0
 
 
 class TestDispatch:

@@ -1,8 +1,10 @@
 """Helpers shared across test modules."""
 
+from operator import floordiv
+
 import sympy
 
-from webpolar.multipoly import MultiPoly
+from webpolar.multipoly import MultiPoly, _bareiss_determinant
 
 SYMPY_VARS = sympy.symbols("x y p t u")
 
@@ -16,3 +18,35 @@ def to_sympy_poly(poly: MultiPoly):
                 term *= sym ** e
         acc += term
     return acc
+
+
+# The Sylvester matrix is the tests' independent reference for resultants:
+# the package takes them through the smaller Bezout matrix.
+
+def sylvester_layout(fc: list, gc: list, zero) -> list[list]:
+    """Sylvester matrix from coefficient lists in descending degree order."""
+    deg_f = len(fc) - 1
+    deg_g = len(gc) - 1
+    size = deg_f + deg_g
+    rows = []
+    for shift in range(deg_g):
+        rows.append([zero] * shift + fc + [zero] * (size - deg_f - 1 - shift))
+    for shift in range(deg_f):
+        rows.append([zero] * shift + gc + [zero] * (size - deg_g - 1 - shift))
+    return rows
+
+
+def sylvester_matrix(f: MultiPoly, g: MultiPoly, var: str) -> list[list[MultiPoly]]:
+    """The (deg f + deg g)-square Sylvester matrix of f and g in ``var``."""
+    if f.degree(var) < 1 or g.degree(var) < 1:
+        raise ValueError("both polynomials need positive degree in the elimination variable")
+    fc = list(reversed(f.coefficient_list(var)))
+    gc = list(reversed(g.coefficient_list(var)))
+    return sylvester_layout(fc, gc, MultiPoly.zero())
+
+
+def sylvester_integer_resultant(fc: list[int], gc: list[int]) -> int:
+    """Res(f, g) of integer coefficient lists, descending, as the Bareiss
+    determinant of their Sylvester matrix; 1 for two constants."""
+    rows = sylvester_layout(fc, gc, 0)
+    return _bareiss_determinant(rows, floordiv) if rows else 1
