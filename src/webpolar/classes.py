@@ -207,19 +207,3 @@ def smooth_hypersurface_char_numbers(d: int, n: int) -> CharNumbers:
         a.append(current)
         previous = current
     return CharNumbers(n=n, q=n - 1, a=tuple(a))
-
-
-def twist_degree(k: int, p: int, n: int, deg_w: int) -> int:
-    """Degree of the line bundle twisting the defining k-symmetric form.
-
-    The form lives in Sym^k of the (n-p)-forms twisted by
-    O(deg W + k*(n-p) + k); this bookkeeping pins how many zeros a
-    restriction to a linear subspace must have in total.
-    """
-    if k < 1:
-        raise ValueError(f"multiplicity k must be positive, got {k}")
-    if not 1 <= p <= n - 1:
-        raise ValueError(f"plane dimension p={p} out of range for n={n}")
-    if deg_w < 0:
-        raise ValueError(f"web degree must be nonnegative, got {deg_w}")
-    return deg_w + k * (n - p) + k

@@ -45,13 +45,15 @@ A monomial factor has one term or none, and a power of a variable has at
 most MAX_EXPONENT + 1 terms, so only products and powers of groups can pass
 the expansion bound.  Errors come out as if the input were tokenized,
 parsed and evaluated in turn: a lexical error anywhere wins over a syntax
-error, and a syntax error anywhere over an expansion refusal.  Sums and
-products are read in loops, so their length is bounded by MAX_SOURCE_LENGTH
-alone.  The per-operation bound bounds the work of each product or power:
-a product takes T_a * T_b term pairs, and a power by squaring in x, y and
-p about MAX_EXPANDED_TERMS^2 / 64.  The total bounds the whole expression,
-so a long sum of powers, each at the per-operation bound, is refused at
-the operation whose bound takes the total past MAX_EXPANDED_TOTAL.
+error, and a syntax error anywhere over an expansion refusal.  Lexical
+errors are searched for before parsing starts, so none waits on an
+expansion.  Sums and products are read in loops, so their length is
+bounded by MAX_SOURCE_LENGTH alone.  The per-operation bound bounds the
+work of each product or power: a product takes T_a * T_b term pairs, and a
+power by squaring in x, y and p about MAX_EXPANDED_TERMS^2 / 64.  The total
+bounds the whole expression, so a long sum of powers, each at the
+per-operation bound, is refused at the operation whose bound takes the
+total past MAX_EXPANDED_TOTAL.
 """
 
 from __future__ import annotations
@@ -70,7 +72,10 @@ MAX_EXPANDED_TOTAL = 30_000
 _TOKEN = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|\S")
 _DIGITS = frozenset("0123456789")
 _NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
-_OPERATORS = frozenset("+-*^()")
+# the lexical errors: a character no token admits, and an integer token (a
+# digit run that does not continue a name) longer than MAX_LITERAL_DIGITS
+_STRAY = re.compile(r"[^\sA-Za-z0-9_+\-*^()]")
+_LONG_LITERAL = re.compile(r"(?<![A-Za-z0-9_])[0-9]{%d}" % (MAX_LITERAL_DIGITS + 1))
 
 
 class ParseError(ValueError):
@@ -82,14 +87,8 @@ class ParseError(ValueError):
         self.column = column
 
 
-def _lexical_error(token: str) -> str | None:
-    first = token[:1]
-    if first in _DIGITS:
-        if len(token) > MAX_LITERAL_DIGITS:
-            return f"integer literal longer than {MAX_LITERAL_DIGITS} digits"
-    elif first and first not in _NAME_START and token not in _OPERATORS:
-        return f"unexpected character {token!r}"
-    return None
+def _line_column(source: str, offset: int) -> tuple[int, int]:
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
 
 
 class _Reader:
@@ -103,6 +102,16 @@ class _Reader:
     def __init__(self, source: str, zero, names):
         if len(source) > MAX_SOURCE_LENGTH:
             raise ParseError(f"input longer than {MAX_SOURCE_LENGTH} characters", 1, 1)
+        # the first lexical error wins, before anything is parsed or expanded;
+        # a literal past the limit needs that many characters before the stray
+        stray = _STRAY.search(source)
+        end = stray.start() if stray else len(source)
+        literal = end > MAX_LITERAL_DIGITS and _LONG_LITERAL.search(source, 0, end)
+        if literal:
+            raise ParseError(f"integer literal longer than {MAX_LITERAL_DIGITS} digits",
+                             *_line_column(source, literal.start()))
+        if stray:
+            raise ParseError(f"unexpected character {stray.group()!r}", *_line_column(source, end))
         self.source = source
         self.tokens = _TOKEN.findall(source)
         self.tokens.append("")  # end of input
@@ -128,16 +137,9 @@ class _Reader:
     def position(self, index: int) -> tuple[int, int]:
         """Line and column of token ``index``; the end of input past the last."""
         match = next(islice(_TOKEN.finditer(self.source), index, None), None)
-        offset = match.start() if match else len(self.source)
-        return self.source.count("\n", 0, offset) + 1, offset - self.source.rfind("\n", 0, offset)
+        return _line_column(self.source, match.start() if match else len(self.source))
 
     def fail(self, message: str):
-        # every token before the current one was read, so the first lexical
-        # error, if any, lies here or later, and it comes first
-        for index in range(self.index, len(self.tokens)):
-            lexical = _lexical_error(self.tokens[index])
-            if lexical:
-                raise ParseError(lexical, *self.position(index))
         raise ParseError(message, *self.position(self.index))
 
     def allow(self, bound: int, index: int) -> bool:
@@ -266,10 +268,7 @@ class _Reader:
 
     def integer(self) -> int:
         """The value of the literal at the current token."""
-        token = self.tokens[self.index]
-        if len(token) > MAX_LITERAL_DIGITS:
-            self.fail(_lexical_error(token))
-        return int(token)
+        return int(self.tokens[self.index])
 
 
 def parse_ring_expr(source: str, n: int):

@@ -36,8 +36,9 @@ large for the number of terms (sparse, high-degree or huge-coefficient
 input), the same determinant runs over the polynomial entries instead.  The
 choice reads only the degrees, term counts and b of the two inputs
 (``_use_kronecker``); both paths give the same polynomial.
-Exact division takes the leading monomials of the remainder from a heap,
-at O(log T) per step for T remainder terms.
+Exact division, ``//`` or ``try_exact_div`` where the quotient may not
+exist, takes the leading monomials of the remainder from a heap, at
+O(log T) per step for T remainder terms.
 
 >>> x, y, p = variables("x", "y", "p")
 >>> print(resultant(p**2 - x, p - y, "p"))
@@ -51,7 +52,6 @@ from __future__ import annotations
 from functools import cache
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import floordiv
 from struct import Struct
 
 _BITS = 64  # bits per exponent field of a packed monomial
@@ -464,7 +464,8 @@ class MultiPoly(SparsePoly):
                     remainder[key] = previous - q * coeff
         return self._new(quotient)
 
-    def exact_div(self, divisor: "MultiPoly") -> "MultiPoly":
+    def __floordiv__(self, divisor: "MultiPoly") -> "MultiPoly":
+        """The exact quotient; ArithmeticError when there is none."""
         quotient = self.try_exact_div(divisor)
         if quotient is None:
             raise ArithmeticError(f"{self} is not divisible by {divisor}")
@@ -482,13 +483,13 @@ def variables(*names: str) -> tuple[MultiPoly, ...]:
     return tuple(MultiPoly.variable(name) for name in names)
 
 
-def _bareiss_determinant(rows: list[list], divide=MultiPoly.exact_div):
+def _bareiss_determinant(rows: list[list]):
     """Exact determinant of a square matrix over polynomials or integers.
 
     One-step fraction-free elimination: every division is by the previous
     pivot and is exact by Sylvester's determinant identity, also after the
-    row exchanges used to escape zero pivots.  ``divide`` is that exact
-    division for the entries' type (``operator.floordiv`` for integers).
+    row exchanges used to escape zero pivots, so ``//`` is exact division
+    for either entry type.
     """
     m = [row[:] for row in rows]
     size = len(m)
@@ -510,7 +511,7 @@ def _bareiss_determinant(rows: list[list], divide=MultiPoly.exact_div):
             left = row[r]
             for j in range(r + 1, size):
                 entry = pivot * row[j] - left * top[j]
-                row[j] = entry if previous is None else divide(entry, previous)
+                row[j] = entry if previous is None else entry // previous
         previous = pivot
     det = m[size - 1][size - 1]
     return -det if sign < 0 else det
@@ -538,33 +539,26 @@ def _bezout_layout(fc: list, gc: list) -> list[list]:
     return rows
 
 
-def _bezout_resultant(fc: list, gc: list, divide):
+def _bezout_resultant(fc: list, gc: list):
     """Res(f, g) from coefficient lists in descending degree order, leading
     coefficients nonzero, over polynomials or integers.
 
     For m = deg f >= n = deg g, det Bez(f, g) = (-1)^(m(m-1)/2) · a_m^(m-n) ·
     Res(f, g), a_m the leading coefficient of f (Gelfand, Kapranov and
     Zelevinsky, *Discriminants, Resultants and Multidimensional
-    Determinants*, ch. 12).  ``divide`` is the exact division of
-    ``_bareiss_determinant`` and also removes a_m^(m-n); deg f < deg g swaps
-    the inputs at the sign (-1)^(mn).
+    Determinants*, ch. 12).  a_m^(m-n) comes off by exact division, and
+    deg f < deg g swaps the inputs at the sign (-1)^(mn).
     """
     m, n = len(fc) - 1, len(gc) - 1
     if m < n:
-        res = _bezout_resultant(gc, fc, divide)
+        res = _bezout_resultant(gc, fc)
         return -res if m * n % 2 else res
     if not m:
         return fc[0] ** 0  # two constants: the empty determinant, 1
-    det = _bareiss_determinant(_bezout_layout(fc, gc), divide)
+    det = _bareiss_determinant(_bezout_layout(fc, gc))
     if m > n:
-        det = divide(det, fc[0] ** (m - n))
+        det //= fc[0] ** (m - n)
     return -det if m * (m - 1) // 2 % 2 else det
-
-
-def _integer_resultant(fc: list[int], gc: list[int]) -> int:
-    """Res(f, g) of integer polynomials given by coefficient lists in
-    descending degree order, leading coefficients nonzero."""
-    return _bezout_resultant(fc, gc, floordiv)
 
 
 class _Packing:
@@ -609,11 +603,6 @@ class _Packing:
         norm_f, norm_g = (sum(map(abs, h._terms.values())) for h in (f, g))
         coefficient_bound = norm_f ** deg_g * norm_g ** deg_f
         self.width = coefficient_bound.bit_length() // 8 + 1  # bytes per digit
-
-    @property
-    def packed_bits(self) -> int:
-        """Bit size of the packed resultant: digits times digit width."""
-        return self.box * 8 * self.width
 
     def _index(self, key: int) -> int:
         return sum((key >> shift & _FIELD) * w for shift, w in zip(self.shifts, self.weights))
@@ -683,11 +672,6 @@ def _bound_failure() -> RuntimeError:
     )
 
 
-def _kronecker_resultant(f: MultiPoly, g: MultiPoly, packing: _Packing) -> MultiPoly:
-    """Res(f, g) as one integer Bezout determinant at z = 2^b."""
-    return packing.unpack(_integer_resultant(packing.evaluate(f), packing.evaluate(g)))
-
-
 # Kronecker packing is dense: it pays for every monomial in the box and every
 # bit of the digit width, where symbolic Bareiss pays per pair of terms.  In
 # 64-bit words, with w the digit width and S = box * w the packed size, the
@@ -709,11 +693,12 @@ KRONECKER_QUADRATIC_WORDS = 4000
 KRONECKER_MAX_BITS = 1 << 22
 
 
-def _use_kronecker(f: MultiPoly, g: MultiPoly, packing: _Packing, size: int) -> bool:
+def _use_kronecker(f: MultiPoly, g: MultiPoly, packing: _Packing) -> bool:
     words = packing.width / 8
     packed = packing.box * words
     cost = packed * (1 + words) * (1 + packed / KRONECKER_QUADRATIC_WORDS)
-    return packing.packed_bits <= KRONECKER_MAX_BITS and (
+    size = f.degree(packing.var) + g.degree(packing.var)
+    return packing.box * 8 * packing.width <= KRONECKER_MAX_BITS and (
         cost <= KRONECKER_RATIO * len(f._terms) * len(g._terms) * size
     )
 
@@ -749,7 +734,7 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     if deg_f == 0:
         return f ** deg_g
     packing = _Packing(f, g, var)
-    if _use_kronecker(f, g, packing, deg_f + deg_g):
-        return _kronecker_resultant(f, g, packing)
+    if _use_kronecker(f, g, packing):
+        return packing.unpack(_bezout_resultant(packing.evaluate(f), packing.evaluate(g)))
     fc, gc = (list(reversed(h.coefficient_list(var))) for h in (f, g))
-    return _bezout_resultant(fc, gc, MultiPoly.exact_div)
+    return _bezout_resultant(fc, gc)

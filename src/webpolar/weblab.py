@@ -152,7 +152,7 @@ class ImplicitWeb:
         )
         saturation = out.min_degree("u")
         if saturation > 0:
-            out = out.exact_div(u ** saturation)
+            out = out // u ** saturation
         return out
 
 

@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+from tests_support import twist_degree
 from webpolar.classes import (
     CharNumbers,
     NegativeCharNumberWarning,
@@ -13,7 +14,6 @@ from webpolar.classes import (
     conormal_linear,
     pencil_class,
     smooth_hypersurface_char_numbers,
-    twist_degree,
     variety_class,
     web_char_integrals,
     web_class,

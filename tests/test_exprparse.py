@@ -25,7 +25,7 @@ from webpolar.exprparse import (
     parse_poly_expr,
     parse_ring_expr,
 )
-from webpolar.multipoly import VARIABLES, MultiPoly, variables
+from webpolar.multipoly import VARIABLES, MultiPoly, SparsePoly, variables
 from webpolar.ring import MAX_DIMENSION, RingElement, dual_hyperplane, hyperplane, zero
 
 X, Y, P = variables("x", "y", "p")
@@ -442,6 +442,20 @@ class TestErrors:
         assert (str(err.value), err.value.column) == (
             "line 1, column 7: unexpected character '$'", 7
         )
+
+    @pytest.mark.parametrize("source,column,message", [
+        ("(x+y+1)^99 + (x+y+1)^99 + (x+y+p)^40 + $", 40, "unexpected character '$'"),
+        ("(x+y+1)^99 + (x+y+1)^99 + 1" + "1" * 4001, 27,
+         f"integer literal longer than {MAX_LITERAL_DIGITS} digits"),
+    ], ids=["stray-character", "long-literal"])
+    def test_lexical_error_is_found_before_any_expansion(self, monkeypatch, source, column, message):
+        def no_expansion(*args):
+            raise AssertionError("a group was expanded")
+
+        monkeypatch.setattr(SparsePoly, "__pow__", no_expansion)
+        with pytest.raises(ParseError) as err:
+            parse_poly_expr(source, _WEB)
+        assert str(err.value) == f"line 1, column {column}: {message}"
 
     def test_syntax_error_comes_before_an_expansion_refusal(self):
         with pytest.raises(ParseError) as err:

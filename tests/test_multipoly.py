@@ -13,7 +13,7 @@ from math import prod
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tests_support import sylvester_integer_resultant, sylvester_matrix
@@ -23,8 +23,6 @@ from webpolar.multipoly import (
     _bareiss_determinant,
     _bezout_layout,
     _bezout_resultant,
-    _integer_resultant,
-    _kronecker_resultant,
     _Packing,
     _use_kronecker,
     resultant,
@@ -229,6 +227,16 @@ class TestExactDivision:
         with pytest.raises(ZeroDivisionError):
             X.try_exact_div(MultiPoly.zero())
 
+    def test_floor_division_is_the_exact_quotient(self):
+        assert (X ** 2 - Y ** 2) // (X - Y) == X + Y
+        assert (6 * X * Y - 3) // MultiPoly.const(3) == 2 * X * Y - 1
+        with pytest.raises(ArithmeticError, match="not divisible"):
+            (X ** 2 + 1) // (X + Y)
+        with pytest.raises(ArithmeticError, match="not divisible"):
+            (2 * X) // (3 * X)  # integer quotient required
+        with pytest.raises(ZeroDivisionError):
+            X // MultiPoly.zero()
+
     @pytest.mark.parametrize("dividend,divisor", [
         ("x", "u"), ("x^2*y", "x*y^2"), ("x*t", "t^2"),
     ])
@@ -243,6 +251,7 @@ class TestExactDivision:
     def test_products_divide_back(self, f, g):
         if not g.is_zero:
             assert (f * g).try_exact_div(g) == f
+            assert (f * g) // g == f
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -389,12 +398,15 @@ def _elimination_pairs(draw):
             f, g = f * common, g * common
     assume(f.degree(var) >= 1 and g.degree(var) >= 1)
     # keep each example in milliseconds: both paths grow fast with size
-    assume(_Packing(f, g, var).packed_bits <= 1 << 16)
+    packing = _Packing(f, g, var)
+    assume(packing.box * 8 * packing.width <= 1 << 16)
     return f, g, var
 
 
-def kronecker(f, g, var):
-    return _kronecker_resultant(f, g, _Packing(f, g, var))
+def kronecker(f, g, var, packing=None):
+    """The packed path: one integer Bezout determinant at z = 2^b."""
+    packing = packing or _Packing(f, g, var)
+    return packing.unpack(_bezout_resultant(packing.evaluate(f), packing.evaluate(g)))
 
 
 def symbolic(f, g, var):
@@ -443,7 +455,7 @@ class TestKroneckerResultant:
         f, g = P ** 3 + X, P + Y
         fc, gc = (coefficients(h, "p") for h in (f, g))
         assert _bezout_layout(fc, gc)[0][0].is_zero
-        assert kronecker(f, g, "p") == _bezout_resultant(fc, gc, MultiPoly.exact_div)
+        assert kronecker(f, g, "p") == _bezout_resultant(fc, gc)
         assert kronecker(f, g, "p") == symbolic(f, g, "p") == Y ** 3 - X
 
     def test_against_sympy(self):
@@ -474,10 +486,10 @@ class TestKroneckerResultant:
         f = P + c
         packing = _Packing(f, g, "p")
         assert packing.box == 1 and packing.width > 1
-        assert _kronecker_resultant(f, g, packing) == g.evaluate(p=-c)
+        assert kronecker(f, g, "p", packing) == g.evaluate(p=-c)
         packing.width = 1
         with pytest.raises(RuntimeError, match="coefficient bound"):
-            _kronecker_resultant(f, g, packing)
+            kronecker(f, g, "p", packing)
 
 
 def _times_root(descending, root):
@@ -525,8 +537,29 @@ def _sparse_pairs(draw):
     f = MultiPoly(draw(terms))
     g = f.derivative("p") if draw(st.booleans()) else MultiPoly(draw(terms))
     assume(f.degree("p") >= 1 and g.degree("p") >= 1)
-    assume(not _use_kronecker(f, g, _Packing(f, g, "p"), f.degree("p") + g.degree("p")))
+    assume(not _use_kronecker(f, g, _Packing(f, g, "p")))
     return f, g
+
+
+# entries in [-2, 2] make zero pivots and row exchanges common
+_SQUARE_MATRICES = st.integers(1, 6).flatmap(
+    lambda size: st.lists(st.lists(st.integers(-2, 2), min_size=size, max_size=size),
+                          min_size=size, max_size=size)
+)
+
+
+class TestBareissDeterminant:
+    """One routine, with ``//`` as its division, on both entry types."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=_SQUARE_MATRICES)
+    @example(rows=[[0, 2, 1], [3, 1, 4], [1, 5, 9]])  # zero first pivot
+    @example(rows=[[1, 2, 3], [2, 4, 7], [5, 1, 1]])  # zero pivot after one step
+    @example(rows=[[0, 1, 2], [0, 3, 4], [0, 5, 6]])  # zero column: no pivot at all
+    def test_integer_and_constant_entries_agree(self, rows):
+        det = _bareiss_determinant(rows)
+        assert det == sympy.Matrix(rows).det()
+        assert _bareiss_determinant([[MultiPoly.const(c) for c in row] for row in rows]) == det
 
 
 class TestBezoutResultant:
@@ -538,7 +571,7 @@ class TestBezoutResultant:
     @given(data=st.data())
     def test_integer_path_matches_sylvester(self, relation, data):
         fc, gc, common = data.draw(_integer_pairs(relation))
-        res = _integer_resultant(fc, gc)
+        res = _bezout_resultant(fc, gc)
         assert res == sylvester_integer_resultant(fc, gc)
         if common:
             assert res == 0
@@ -558,14 +591,14 @@ class TestBezoutResultant:
         for b in betas:
             gc = _times_root(gc, b)
         scale = 2 ** n * (-3) ** m
-        assert _integer_resultant(fc, gc) == scale * prod(a - b for a in alphas for b in betas)
+        assert _bezout_resultant(fc, gc) == scale * prod(a - b for a in alphas for b in betas)
         # the polynomial path, with every root of f moved by x and of g by y
         f = prod((P - a - X for a in alphas), start=MultiPoly.const(2))
         g = prod((P - b - Y for b in betas), start=MultiPoly.const(-3))
         expected = prod((X + a - Y - b for a in alphas for b in betas),
                         start=MultiPoly.const(scale))
         fc, gc = coefficients(f, "p"), coefficients(g, "p")
-        assert _bezout_resultant(fc, gc, MultiPoly.exact_div) == expected
+        assert _bezout_resultant(fc, gc) == expected
         assert resultant(f, g, "p") == expected
 
     def test_layout_is_the_bezoutian(self):
@@ -599,7 +632,7 @@ class TestBezoutResultant:
     ])
     def test_symbolic_path_against_sympy(self, text_f, text_g):
         f, g = (parse_poly_expr(text, {"x", "y", "p"}) for text in (text_f, text_g))
-        assert not _use_kronecker(f, g, _Packing(f, g, "p"), f.degree("p") + g.degree("p"))
+        assert not _use_kronecker(f, g, _Packing(f, g, "p"))
         theirs = sympy.resultant(to_sympy(f), to_sympy(g), _SYMPY_VARS[2])
         assert sympy.expand(to_sympy(resultant(f, g, "p")) - theirs) == 0
 
@@ -611,8 +644,7 @@ class TestDispatch:
     def test_sparse_high_degree_stays_symbolic(self, text):
         f = parse_poly_expr(text, {"x", "y", "p"})
         g = f.derivative("p")
-        packing = _Packing(f, g, "p")
-        assert not _use_kronecker(f, g, packing, f.degree("p") + g.degree("p"))
+        assert not _use_kronecker(f, g, _Packing(f, g, "p"))
         assert resultant(f, g, "p") == symbolic(f, g, "p")
 
     def test_dense_web_is_packed(self):
@@ -623,8 +655,7 @@ class TestDispatch:
             for c in range(5) for a in range(4) for b in range(4 - a)
         })
         g = f.derivative("p")
-        packing = _Packing(f, g, "p")
-        assert _use_kronecker(f, g, packing, 7)
+        assert _use_kronecker(f, g, _Packing(f, g, "p"))
         assert resultant(f, g, "p") == kronecker(f, g, "p")
 
 

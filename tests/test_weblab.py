@@ -22,7 +22,8 @@ from hypothesis import strategies as st
 
 import webpolar
 import webpolar.weblab as weblab
-from webpolar.multipoly import MultiPoly, _integer_resultant, resultant, variables
+from tests_support import twist_degree
+from webpolar.multipoly import MultiPoly, _bezout_resultant, resultant, variables
 from webpolar.weblab import (
     CERTIFICATE_POINTS,
     CERTIFICATE_PRIME,
@@ -74,7 +75,7 @@ def integer_certificate(f):
         if not specialised[k]:
             continue
         derivative = [i * c for i, c in enumerate(specialised)]
-        if _integer_resultant(specialised[::-1], derivative[:0:-1]):
+        if _bezout_resultant(specialised[::-1], derivative[:0:-1]):
             return True
     return False
 
@@ -304,7 +305,7 @@ class TestSquareFreeCertificate:
         f = [leads[0]] + f_tail
         g = [leads[1]] + g_tail[:len(f_tail)]
         gcd = _gcd_mod([c % q for c in f], [c % q for c in g], q)
-        assert (len(gcd) == 1) == (_integer_resultant(f, g) % q != 0)
+        assert (len(gcd) == 1) == (_bezout_resultant(f, g) % q != 0)
 
     @settings(max_examples=150, deadline=None)
     @given(f=_SMALL_WEBS | st.builds(MultiPoly, _small_term_maps(2, 5, _RESIDUE_COEFFICIENTS)))
@@ -859,8 +860,6 @@ class TestEndToEnd:
         # the defining form twisted by O(deg + k(n-p) + k) restricts to a
         # line as a binary form of degree twist - 2k, which must equal the
         # measured tangency count
-        from webpolar.classes import twist_degree
-
         for f in [CUSP_WEB, PARABOLA_WEB, CIRCLE_FOLIATION, X * P - Y]:
             web = ImplicitWeb(f)
             degree = web_degree(web)

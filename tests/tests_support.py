@@ -1,7 +1,5 @@
 """Helpers shared across test modules."""
 
-from operator import floordiv
-
 import sympy
 
 from webpolar.multipoly import MultiPoly, _bareiss_determinant
@@ -49,4 +47,20 @@ def sylvester_integer_resultant(fc: list[int], gc: list[int]) -> int:
     """Res(f, g) of integer coefficient lists, descending, as the Bareiss
     determinant of their Sylvester matrix; 1 for two constants."""
     rows = sylvester_layout(fc, gc, 0)
-    return _bareiss_determinant(rows, floordiv) if rows else 1
+    return _bareiss_determinant(rows) if rows else 1
+
+
+def twist_degree(k: int, p: int, n: int, deg_w: int) -> int:
+    """Degree of the line bundle twisting the defining k-symmetric form.
+
+    The form lives in Sym^k of the (n-p)-forms twisted by
+    O(deg W + k*(n-p) + k); this bookkeeping pins how many zeros a
+    restriction to a linear subspace must have in total.
+    """
+    if k < 1:
+        raise ValueError(f"multiplicity k must be positive, got {k}")
+    if not 1 <= p <= n - 1:
+        raise ValueError(f"plane dimension p={p} out of range for n={n}")
+    if deg_w < 0:
+        raise ValueError(f"web degree must be nonnegative, got {deg_w}")
+    return deg_w + k * (n - p) + k
