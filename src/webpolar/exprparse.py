@@ -28,8 +28,10 @@ Inputs come from the command line, so the reader bounds what it accepts
 (each check costs O(1) per token) and raises ParseError beyond:
 
     MAX_SOURCE_LENGTH   characters of input
-    MAX_LITERAL_DIGITS  digits of one integer literal, below CPython's
-                        default 4300-digit limit on int/str conversion
+    MAX_LITERAL_DIGITS  digits of one integer literal, and of a literal's
+                        power, below CPython's default 4300-digit limit on
+                        int/str conversion; a power is refused at its '^'
+                        before it is computed
     MAX_NESTING_DEPTH   parentheses open at once; the reader recurses once
                         per level, so this keeps it far from the
                         interpreter's recursion limit
@@ -45,12 +47,13 @@ A monomial factor has one term or none, and a power of a variable has at
 most MAX_EXPONENT + 1 terms, so only products and powers of groups can pass
 the expansion bound.  Errors come out as if the input were tokenized,
 parsed and evaluated in turn: a lexical error anywhere wins over a syntax
-error, and a syntax error anywhere over an expansion refusal.  Lexical
-errors are searched for before parsing starts, so none waits on an
-expansion.  Sums and products are read in loops, so their length is
-bounded by MAX_SOURCE_LENGTH alone.  The per-operation bound bounds the
-work of each product or power: a product takes T_a * T_b term pairs, and a
-power by squaring in x, y and p about MAX_EXPANDED_TERMS^2 / 64.  The total
+error, and a syntax error anywhere over a refused expansion or literal
+power, the first of which is raised.  Lexical errors are searched for
+before parsing starts, so none waits on an expansion.  Sums and products
+are read in loops, so their length is bounded by MAX_SOURCE_LENGTH alone.
+The per-operation bound bounds the work of each product or power: a
+product takes T_a * T_b term pairs, and a power by squaring in x, y and p
+about MAX_EXPANDED_TERMS^2 / 64.  The total
 bounds the whole expression, so a long sum of powers, each at the
 per-operation bound, is refused at the operation whose bound takes the
 total past MAX_EXPANDED_TOTAL.
@@ -76,6 +79,10 @@ _NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 # digit run that does not continue a name) longer than MAX_LITERAL_DIGITS
 _STRAY = re.compile(r"[^\sA-Za-z0-9_+\-*^()]")
 _LONG_LITERAL = re.compile(r"(?<![A-Za-z0-9_])[0-9]{%d}" % (MAX_LITERAL_DIGITS + 1))
+# a power of a literal may not reach _LITERAL_LIMIT, the least integer of
+# MAX_LITERAL_DIGITS + 1 digits; every integer of fewer bits than it is smaller
+_LITERAL_LIMIT = 10 ** MAX_LITERAL_DIGITS
+_LITERAL_LIMIT_BITS = _LITERAL_LIMIT.bit_length()
 
 
 class ParseError(ValueError):
@@ -120,7 +127,7 @@ class _Reader:
         self.zero = zero
         self.shifts = {name: zero._shift(name) for name in names}
         self.expanded = 0  # the bounds of the expansions allowed so far
-        self.refused = None  # the first expansion refusal, raised after parsing
+        self.refused = None  # the first refusal, raised after parsing
 
     def read(self):
         value = self.expr()
@@ -162,6 +169,27 @@ class _Reader:
         self.refused = ParseError(message, *self.position(index))
         return False
 
+    def literal_power(self, value: int, exponent: int, index: int) -> int:
+        """value^exponent, unless it would pass MAX_LITERAL_DIGITS digits.
+
+        The power has between (b-1)*e + 1 and b*e bits for b the bit length
+        of the value, so only a power within e bits of the limit is computed
+        to decide.  A refusal is kept like an expansion refusal; after one,
+        the value is returned unchanged, since it is never used.
+        """
+        if self.refused is not None:
+            return value
+        bits = value.bit_length()
+        if bits * exponent < _LITERAL_LIMIT_BITS:
+            return value ** exponent
+        if (bits - 1) * exponent < _LITERAL_LIMIT_BITS:
+            power = value ** exponent
+            if power < _LITERAL_LIMIT:
+                return power
+        self.refused = ParseError(f"power of a literal longer than {MAX_LITERAL_DIGITS} digits",
+                                  *self.position(index))
+        return value
+
     def expr(self) -> dict:
         tokens = self.tokens
         out: dict = {}
@@ -198,9 +226,10 @@ class _Reader:
             elif token[:1] in _DIGITS:
                 value = self.integer()
                 self.index += 1
+                caret = self.index
                 exponent = self.exponent()
                 if exponent is not None:
-                    value **= exponent
+                    value = self.literal_power(value, exponent, caret)
                 coeff *= value
                 right = 1 if value else 0
             elif token == "(":

@@ -18,9 +18,10 @@ floating point.
 ``MultiPoly`` has the variables (x, y, p, t, u): x, y are affine plane
 coordinates and p is the slope dy/dx of an implicit differential equation.
 t and u are the coordinates of the symbolic generic point through which
-``weblab.polar_curve`` draws the polar curve; u is also the coordinate of
-the chart at infinity of ``ImplicitWeb.infinity_chart``, the tests'
-independent reference for tangency counts.
+``weblab.polar_curve`` draws the polar curve, the tests' reference for the
+polar degree; u is also the coordinate of the chart at infinity of
+``ImplicitWeb.infinity_chart``, the tests' independent reference for
+tangency counts.
 
 Resultants come from the Bezout matrix: for m = deg f >= n = deg g it is
 max(m, n)-square, and its fraction-free Bareiss determinant, divided exactly

@@ -7,14 +7,16 @@ This module measures the web's characteristic numbers exactly from such
 tangency geometry, so the abstract two-term degree formulas can be checked
 against actual loci: the degree is the tangency count with a symbolic
 generic line, whose tangencies are all affine, read off the leading
-x-coefficient of F along that line without expanding the restriction, and
-the first polar locus through a symbolic generic point comes from
-eliminating the slope against the pencil of lines through that point.  The
-point's symbols live in the spare variables t and u of ``MultiPoly``; nothing
-is sampled and no measurement depends on a seed.  Sampled lines and points
-stay as independent references for the tests: ``tangency_with_line`` counts
-projectively, as the degree of the affine restriction plus the order of
-tangency at the line's point at infinity, which a particular line can have.
+x-coefficient of F along that line without expanding the restriction.  The
+first polar curve through a point z is Res_p(F, c1*p + c0) against the
+pencil of lines through z (``polar_curve``), and its degree for a symbolic
+generic z is read off F's terms by the same kind of walk
+(``polar_curve_degree``), so the curve is never expanded.  Nothing is
+sampled and no measurement depends on a seed.  Sampled lines and points,
+and the expanded polar curve, stay as independent references for the tests:
+``tangency_with_line`` counts projectively, as the degree of the affine
+restriction plus the order of tangency at the line's point at infinity,
+which a particular line can have.
 
 Two yes/no questions are first asked modulo the word-size prime
 CERTIFICATE_PRIME at fixed integer points (CERTIFICATE_POINTS, independent
@@ -46,8 +48,8 @@ COEFFICIENT_SPAN = 999  # random integer samples are drawn from [-999, 999]
 # the square-freeness certificate costs O(k^2) word-size operations: on dense
 # p-polynomials it took 6 ms at k = 100, 21 ms at k = 200 and 55 ms at
 # k = 320, and `web --f "x^100*p^100 - y"` runs in 0.14 s end to end (CPython
-# 3.11, one core of a shared 2-vCPU host); the cap bounds the stages after
-# it, the polar curve and the symbolic fallback, which grow faster in k
+# 3.11, one core of a shared 2-vCPU host); the cap bounds the stage after
+# it that grows faster in k, the symbolic discriminant
 MAX_SLOPE_DEGREE = 100
 # a prime above MAX_SLOPE_DEGREE, so k * a_k is a unit wherever a_k is
 CERTIFICATE_PRIME = (1 << 61) - 1
@@ -325,7 +327,8 @@ def _clear_slope(coefficients: list[MultiPoly], c1: MultiPoly, c0: MultiPoly) ->
 def polar_curve(web: ImplicitWeb, z: tuple) -> MultiPoly:
     """Locus of points whose web tangent passes through z = (z1, z2).
 
-    A tangent of slope p at (x, y) hits z exactly when
+    This expansion is the tests' reference for ``polar_curve_degree``,
+    which the lab uses.  A tangent of slope p at (x, y) hits z exactly when
     (y - z2) - p*(x - z1) = 0, so eliminating p against F cuts the curve:
     Res_p(F, c1*p + c0) = (-1)^k * _clear_slope(F, c1, c0) with c1 = z1 - x
     and c0 = y - z2.  The coordinates of z are integers, or polynomials in
@@ -341,6 +344,48 @@ def polar_curve(web: ImplicitWeb, z: tuple) -> MultiPoly:
     if res.is_zero:
         raise DegenerateSampleError(f"pencil through {z} shares a component with the web")
     return (-res if web.k % 2 else res).primitive_part()
+
+
+def polar_curve_degree(web: ImplicitWeb) -> int:
+    """Degree in x and y of the polar curve through a symbolic generic point.
+
+    Through z = (t, u) the curve is P = sum_i a_i (u - y)^i (t - x)^(k-i),
+    the sum of t^α u^β Q_{α,β}(x, y) with
+    Q_{α,β} = sum_{i=β}^{k-α} comb(i, β) comb(k-i, α) (-y)^(i-β) (-x)^(k-i-α) a_i,
+    so its degree is the largest degree of a Q_{α,β}.  A term c x^a y^b p^γ
+    of F lands in degree D through the pairs with α + β = s = a + b + k - D
+    and β <= γ <= k - α, at x^(a+k-γ-α) y^(b+γ-β) with the coefficient
+    c comb(γ, β) comb(k-γ, α) times the sign (-1)^(k-s), which a monomial
+    t^α u^β x^X y^(D-X) fixes.  The walk goes down from D = top + k, top the
+    largest total degree of F's terms, and returns the first D where such a
+    sum is nonzero, so nothing is expanded.  The first step, α = β = 0,
+    usually decides; it descends only where the top form of F vanishes at
+    p = y/x, as for a radial factor x*p - y.  ``polar_curve`` is the
+    expansion this reads, kept as the tests' reference.
+
+    >>> x, y, p = variables("x", "y", "p")
+    >>> polar_curve_degree(ImplicitWeb(p**2 - y)), polar_curve_degree(ImplicitWeb(x*p - y))
+    (3, 1)
+    """
+    k = web.k
+    by_degree: dict[int, list[tuple[int, int, int]]] = {}
+    for (a, b, gamma), coeff in web.f.terms_in("x", "y", "p"):
+        by_degree.setdefault(a + b, []).append((a, gamma, coeff))
+    top = max(by_degree)
+    for d in range(top + k, -1, -1):
+        coefficient: dict[tuple[int, int, int], int] = {}
+        for n in range(max(d - k, 0), min(d, top) + 1):
+            s = n + k - d
+            for a, gamma, coeff in by_degree.get(n, ()):
+                for alpha in range(max(s - gamma, 0), min(s, k - gamma) + 1):
+                    key = (alpha, s - alpha, a + k - gamma - alpha)
+                    coefficient[key] = (coefficient.get(key, 0)
+                                        + coeff * comb(gamma, s - alpha) * comb(k - gamma, alpha))
+        if any(coefficient.values()):
+            return d
+    raise RuntimeError(
+        f"internal consistency check failed: the polar curve vanishes for F = {web.f}"
+    )
 
 
 def discriminant_locus(web: ImplicitWeb) -> MultiPoly:
@@ -448,14 +493,14 @@ def end_to_end_check(web: ImplicitWeb, curve: MultiPoly | None = None) -> WebRep
     degree bound is ``hypersurface_degree_bound(numbers).overall``; both are
     cross-checked there against the ring integral.  The measured polar
     degree is the degree in x and y of the polar curve through a symbolic
-    generic point.  When a curve is supplied, its invariance is decided and
-    its degree checked against the bound (meaningful when the curve's
-    projective closure is smooth, which the caller asserts)."""
+    generic point, read off F's terms by ``polar_curve_degree``.  When a
+    curve is supplied, its invariance is decided and its degree checked
+    against the bound (meaningful when the curve's projective closure is
+    smooth, which the caller asserts)."""
     k = web.k
     degree = web_degree(web)
     numbers = WebCharNumbers(n=2, p=1, k=k, d=(k, degree))
-    generic_polar = polar_curve(web, variables("t", "u"))
-    polar_deg = generic_polar.total_degree("x", "y")
+    polar_deg = polar_curve_degree(web)
     bound = hypersurface_degree_bound(numbers).overall
     expected = polar_degree_web(numbers, 1)
     curve_fields = {}

@@ -263,13 +263,17 @@ def expansion_check(names):
 
     A product, or a power of a group, may reach MAX_EXPANDED_TERMS terms, and
     the bounds above 1 may add up to MAX_EXPANDED_TOTAL per expression.  A
-    power of a variable or literal stays a monomial and is not counted.
+    power of a variable or literal stays a monomial and is not counted, but
+    a literal's power may not pass MAX_LITERAL_DIGITS digits.
     """
     total = 0
 
     def check(node, left, right):
         nonlocal total
         if isinstance(node, Pow):
+            if isinstance(node.base, Lit) and node.base.value ** right >= 10 ** MAX_LITERAL_DIGITS:
+                raise ParseError(f"power of a literal longer than {MAX_LITERAL_DIGITS} digits",
+                                 *node.position)
             if not node.group:
                 return
             bound = prod(right * max(left.degree(name), 0) + 1 for name in names)
@@ -520,9 +524,13 @@ class TestAgainstTheReference:
         "(x+y+1)^50 + " * 11 + "(x+y+1)^50",  # 12 * 2601 = 31,212 in total
         " + ".join(["(x+1)^99*(y+1)^99"] * 3),  # the third '*' crosses the total
         "(x+1)^99*(y+1)^99*(p+1)^2 + (x+y+p)^30",
+        "9999^1000*x - 10000^1000*y", "(x+y+p)^200 + 10000^1000", "10000^1000*(x+y+p)^200",
+        "(10000^1000*x)^2", "0^1000*(x+y+p)^200",
     ], ids=["power", "product", "power-one", "zero-first", "zero-last", "zero-group",
             "long-group", "long-group-times-zero", "first-refusal", "total-of-powers",
-            "total-of-products", "per-operation-first"])
+            "total-of-products", "per-operation-first", "literal-power",
+            "expansion-before-literal-power", "literal-power-before-expansion",
+            "literal-power-in-a-group", "zero-literal-power"])
     def test_expansion_refusals(self, source):
         assert outcome(parse_poly_expr, source, _WEB) == outcome(reference_poly_expr, source, _WEB)
 
@@ -555,6 +563,18 @@ class TestLimits:
         assert parse_poly_expr(f"{big}*x", {"x"}) == big * X
         with pytest.raises(ParseError):
             parse_poly_expr(f"{big * 10}*x", {"x"})
+
+    def test_literal_power_limit(self):
+        # 9999^1000 has 4,000 digits and 10000^1000 = 10^4000 has 4,001
+        assert parse_ring_expr("9999^1000*h", 2) == 9999 ** 1000 * hyperplane(2)
+        assert parse_poly_expr(f"{'9' * 400}^10*x", {"x"}) == (10 ** 400 - 1) ** 10 * X
+        for source, column in [("10000^1000*h", 6), (f"1{'0' * 400}^10*h", 402),
+                               (f"2*{'9' * MAX_LITERAL_DIGITS}^1000*h", 4003)]:
+            with pytest.raises(ParseError) as err:
+                parse_ring_expr(source, 2)
+            assert (str(err.value), err.value.column) == (
+                f"line 1, column {column}: power of a literal longer than "
+                f"{MAX_LITERAL_DIGITS} digits", column)
 
     def test_length_limit(self):
         padded = "x" + " " * (MAX_SOURCE_LENGTH - 1)

@@ -34,6 +34,7 @@ from webpolar.weblab import (
     end_to_end_check,
     is_invariant,
     polar_curve,
+    polar_curve_degree,
     restriction_to_line,
     sample_line,
     sample_point,
@@ -80,11 +81,16 @@ def integer_certificate(f):
     return False
 
 
-def modular_certificate(f):
-    """``ImplicitWeb._certified_square_free`` without validating f first."""
+def unvalidated_web(f):
+    """An ``ImplicitWeb`` on f without the square-freeness check."""
     web = ImplicitWeb.__new__(ImplicitWeb)
     web.f, web.k = f, f.degree("p")
-    return web._certified_square_free()
+    return web
+
+
+def modular_certificate(f):
+    """``ImplicitWeb._certified_square_free`` without validating f first."""
+    return unvalidated_web(f)._certified_square_free()
 
 
 def homogenized_tangency_form(web, line):
@@ -546,6 +552,50 @@ class TestPolarCurve:
         except DegenerateSampleError:
             assume(False)
         assert end_to_end_check(web).polar_curve_degree == sampled
+
+
+def expanded_polar_degree(web):
+    """The reference polar degree: the x/y-degree of the polar curve
+    through the symbolic point (t, u), expanded."""
+    return polar_curve(web, (T, U)).total_degree("x", "y")
+
+
+RADIAL = X * P - Y  # the pencil of lines through the origin
+
+
+class TestPolarCurveDegree:
+    @pytest.mark.parametrize("f, degree", [
+        (CUSP_WEB, 3),  # the web_plain golden
+        (PARABOLA_WEB, 3),  # the web_curve golden
+        (CIRCLE_FOLIATION, 2),
+        (RADIAL, 1),
+        (RADIAL * (P - X), 3),
+        (RADIAL ** 2 + P, 2),
+        (RADIAL * (P ** 2 - X * Y - 1), 5),  # one step below top + k = 6
+        (RADIAL ** 3 + X * P, 4),  # two steps below top + k = 6
+    ], ids=["cusp", "parabola", "circles", "radial", "radial-times-line", "radial-squared-plus-p",
+            "radial-times-a-web", "radial-cubed-plus-x-p"])
+    def test_values(self, f, degree):
+        web = unvalidated_web(f)
+        assert polar_curve_degree(web) == expanded_polar_degree(web) == degree
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        terms=_small_term_maps(2, 5),
+        radial_factor=st.integers(0, 2),
+        added_power=st.integers(0, 5),
+        added_coefficient=st.integers(-2, 2),
+        p_power=st.integers(0, 2),
+    )
+    def test_equals_the_expanded_curve(self, terms, radial_factor, added_power,
+                                       added_coefficient, p_power):
+        # radial factors and added powers of x*p - y cancel top forms; a
+        # factor p^m is not square-free, and both sides read only F's terms
+        f = (MultiPoly(terms) * RADIAL ** radial_factor
+             + added_coefficient * RADIAL ** added_power) * P ** p_power
+        assume(1 <= f.degree("p") <= 5)
+        web = unvalidated_web(f)
+        assert polar_curve_degree(web) == expanded_polar_degree(web)
 
 
 class TestDiscriminantLocus:

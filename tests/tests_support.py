@@ -1,7 +1,15 @@
 """Helpers shared across test modules."""
 
+import os
+import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import sympy
 
+import webpolar
 from webpolar.multipoly import MultiPoly, _bareiss_determinant
 
 SYMPY_VARS = sympy.symbols("x y p t u")
@@ -64,3 +72,64 @@ def twist_degree(k: int, p: int, n: int, deg_w: int) -> int:
     if deg_w < 0:
         raise ValueError(f"web degree must be nonnegative, got {deg_w}")
     return deg_w + k * (n - p) + k
+
+
+# -- inputs at the caps, run in a bounded child process ---------------------------
+# The cases are generated from a seed, not committed: each is tens of kB.
+
+
+def random_web_source(seed: int, k: int, degree: int, terms_per_coefficient: int) -> str:
+    """A web with ``terms_per_coefficient`` random terms c*x^a*y^b (a + b <= degree,
+    c in [-9, 9] nonzero) on each power p^0..p^k."""
+    rng = random.Random(seed)
+    terms = []
+    for i in range(k + 1):
+        for _ in range(terms_per_coefficient):
+            a = rng.randint(0, degree)
+            b = rng.randint(0, degree - a)
+            terms.append(f" {rng.choice('+-')} {rng.randint(1, 9)}*x^{a}*y^{b}*p^{i}")
+    return "".join(terms).lstrip(" +")
+
+
+def literal_power_sum_source(seed: int, digits: int, exponent: int, length: int) -> str:
+    """A sum of terms <literal>^exponent*h, each literal ``digits`` random digits
+    long, as many as fit in ``length`` characters."""
+    rng = random.Random(seed)
+    terms = []
+    while (len(terms) + 1) * (digits + len(str(exponent)) + 6) <= length:
+        literal = str(rng.randint(1, 9)) + "".join(rng.choices("0123456789", k=digits - 1))
+        terms.append(f"{literal}^{exponent}*h")
+    return " + ".join(terms)
+
+
+def run_bounded(argv: list[str], cpu_seconds: int,
+                memory_mb: int) -> tuple[subprocess.CompletedProcess, float]:
+    """``python -m webpolar *argv`` in a child process under RLIMIT_CPU and
+    RLIMIT_AS, which ``setrlimit`` sets in the child alone; the completed
+    process and the CPU seconds it used.  A child past its CPU bound dies of
+    SIGXCPU, and past its memory bound raises MemoryError with a traceback,
+    so neither passes ``assert_answer_or_refusal``."""
+
+    def bound():
+        resource.setrlimit(resource.RLIMIT_CPU, (cpu_seconds, cpu_seconds + 1))
+        resource.setrlimit(resource.RLIMIT_AS, (memory_mb << 20, memory_mb << 20))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(webpolar.__file__).parent.parent))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    completed = subprocess.run(
+        [sys.executable, "-m", "webpolar", *argv],
+        capture_output=True, text=True, env=env, preexec_fn=bound, timeout=10 * cpu_seconds,
+    )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime)
+    return completed, cpu
+
+
+def assert_answer_or_refusal(completed: subprocess.CompletedProcess):
+    """An answer on stdout (exit 0 or 2), or exit 1 with one stderr line."""
+    if completed.returncode == 1:
+        assert completed.stdout == ""
+        assert len(completed.stderr.splitlines()) == 1, completed.stderr[-2000:]
+    else:
+        assert completed.returncode in (0, 2), (completed.returncode, completed.stderr[-2000:])
+        assert completed.stdout
